@@ -20,17 +20,13 @@ from .core import (
     BlockStructure,
     GeneratorSet,
     PeriodicSet,
-    Rational,
     blocks_to_periodic,
-    bounds,
     coverage_counts,
-    density_of_periodic,
     periodic_to_blocks,
     verify_dominating,
 )
 from .errors import CapExceededError, DomratError, InputError, ZeroResidueError
 from .formulas import (
-    ClosedForm,
     Family,
     circulant_known,
     cong_family,
@@ -58,23 +54,19 @@ __all__ = [
     "BlockStructure",
     "CapExceededError",
     "CirculantInstance",
-    "ClosedForm",
     "DomratError",
     "Family",
     "GeneratorSet",
     "InputError",
     "PeriodicSet",
-    "Rational",
     "RatioCertificate",
     "StateGraph",
     "ZeroResidueError",
     "blocks_to_periodic",
-    "bounds",
     "build_state_graph",
     "circulant_known",
     "cong_family",
     "coverage_counts",
-    "density_of_periodic",
     "domination_number",
     "domination_ratio",
     "eds_exists",

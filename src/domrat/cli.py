@@ -16,11 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import blockdsl, verification
-from .circulant import domination_number, oracle_scan, residues
+from .circulant import DEFAULT_N_MAX, domination_number, oracle_scan, residues
 from .core import (
     GeneratorSet,
     blocks_to_periodic,
-    density_of_periodic,
     periodic_to_blocks,
     verify_dominating,
 )
@@ -33,10 +32,10 @@ TEXT, JSON, CSV = "text", "json", "csv"
 @dataclass
 class RunConfig:
     c_max: int = DEFAULT_C_MAX
-    n_max: int = 30
+    n_max: int = DEFAULT_N_MAX
     output_format: str = TEXT
     decimal: bool = False
-    cases: int = 500
+    cases: int = verification.DEFAULT_CASES
 
 
 def parse_set_literal(text: str) -> GeneratorSet:
@@ -178,7 +177,7 @@ def cmd_blocks(args, cfg: RunConfig) -> int:
             print(f"period: {bs.period}")
         return 0
     if args.action == "density":
-        d = density_of_periodic(blocks_to_periodic(bs))
+        d = blocks_to_periodic(bs).density
         if cfg.output_format == JSON:
             payload = {"sizes": list(bs.sizes), "density": _fraction_json(d)}
             if cfg.decimal:
@@ -264,7 +263,7 @@ def _add_common_options(parser: argparse.ArgumentParser, top_level: bool) -> Non
 
     parser.add_argument("--c-max", type=int, default=dflt(default_c_max),
                         help="cap on the window width c (env DOMRAT_C_MAX)")
-    parser.add_argument("--n-max", type=int, default=dflt(30),
+    parser.add_argument("--n-max", type=int, default=dflt(DEFAULT_N_MAX),
                         help="cap on circulant solver size")
     parser.add_argument("--format", choices=[TEXT, JSON, CSV],
                         default=dflt(TEXT), dest="output_format")
@@ -311,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("verify-paper", help="run the whole verification table")
-    p.add_argument("--cases", type=int, default=500,
+    p.add_argument("--cases", type=int, default=verification.DEFAULT_CASES,
                    help="random property-test cases")
     _add_common_options(p, top_level=False)
     p.set_defaults(func=cmd_verify_paper)
@@ -324,7 +323,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     cfg = RunConfig(c_max=args.c_max, n_max=args.n_max,
                     output_format=args.output_format, decimal=args.decimal,
-                    cases=getattr(args, "cases", 500))
+                    cases=getattr(args, "cases", verification.DEFAULT_CASES))
     if cfg.c_max < 1 or cfg.n_max < 1:
         print("caps must be positive", file=sys.stderr)
         return 2

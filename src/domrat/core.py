@@ -16,10 +16,6 @@ from typing import Iterable, Iterator
 
 from .errors import InputError
 
-# All densities, ratios and cycle means in this package are exact rationals.
-Rational = Fraction
-
-
 @dataclass(frozen=True)
 class GeneratorSet:
     """A finite set of nonzero integer steps, kept sorted.
@@ -72,11 +68,6 @@ class GeneratorSet:
 
     def __str__(self) -> str:
         return "{" + ",".join(str(x) for x in self.elements) + "}"
-
-
-def bounds(s: GeneratorSet) -> tuple[int, int, int]:
-    """Return the derived bounds (a, b, c) of a generator set."""
-    return (s.a, s.b, s.c)
 
 
 @dataclass(frozen=True)
@@ -184,11 +175,6 @@ def periodic_to_blocks(u: PeriodicSet) -> BlockStructure:
     sizes = [rs[i + 1] - rs[i] for i in range(len(rs) - 1)]
     sizes.append(rs[0] + u.period - rs[-1])
     return BlockStructure(sizes)
-
-
-def density_of_periodic(u: PeriodicSet) -> Fraction:
-    """Density of a periodic set: residues per period, in lowest terms."""
-    return u.density
 
 
 def verify_dominating(u: PeriodicSet, s: GeneratorSet) -> bool:

@@ -22,6 +22,10 @@ class CapExceededError(DomratError, RuntimeError):
         super().__init__(f"{what}={value} exceeds cap {cap}")
 
 
+class CertificateError(DomratError):
+    """A computed certificate failed its own re-verification."""
+
+
 class ZeroResidueError(InputError):
     """An element of the generator set is divisible by the modulus."""
 

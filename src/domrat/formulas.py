@@ -8,10 +8,9 @@ never with language-level remainders of possibly surprising sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .core import GeneratorSet
 from .errors import InputError
@@ -19,21 +18,8 @@ from .errors import InputError
 
 class Family(Enum):
     ONE_S = "one-s"
-    PAIR_DIVIDING = "pair-dividing"
-    SINGLE_GEN = "single-gen"
-    CONG_FAMILY = "cong-family"
     CIRCULANT_CONSECUTIVE = "circulant-consecutive"
     CIRCULANT_PM13 = "circulant-pm13"
-    CIRCULANT_PM1S_EDS = "circulant-pm1s-eds"
-
-
-@dataclass(frozen=True)
-class ClosedForm:
-    """A family tag, its integer parameters, and the resulting value."""
-
-    family: Family
-    parameters: tuple[int, ...]
-    value: Union[Fraction, int, bool]
 
 
 def _ceil_div(n: int, d: int) -> int:

@@ -26,6 +26,16 @@ exactly: subtracting p from q-scaled weights makes cycles below mu negative,
 and a vectorized Bellman-Ford pass either certifies none exist or yields a
 strictly better cycle from its predecessor pointers.  All arithmetic is
 integer/Fraction; no floating point anywhere.
+
+Sets dominating every integer exactly once use the same masks.  A pair
+covers each window position exactly once iff neither side covers any
+position twice on its own and
+
+    uncovered(T) == covers(T')
+
+(the ratio path needs only the subset).  Each state free of double
+coverage is then an edge covers(T) -> uncovered(T) between coverage masks,
+and any cycle of masks lifts to a cycle of states, i.e. a periodic witness.
 """
 
 from __future__ import annotations
@@ -36,7 +46,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import GeneratorSet, PeriodicSet, coverage_counts, verify_dominating
-from .errors import CapExceededError, InputError
+from .errors import CapExceededError, CertificateError, InputError
 
 DEFAULT_C_MAX = 16
 
@@ -129,6 +139,20 @@ class StateGraph:
         return len(self.successors(t))
 
 
+def _shift(line: np.ndarray, step: int) -> np.ndarray:
+    """What the members of `line` dominate by one step.
+
+    Line bit i <-> integer position i+1; a member at position x dominates
+    x + step, i.e. shifts its bit left by step (right for negative steps).
+    """
+    return (line << step) if step > 0 else (line >> -step)
+
+
+def _window(s: GeneratorSet) -> np.int64:
+    """Line bits of the window positions [a+1, a+c]."""
+    return np.int64(((1 << s.c) - 1) << s.a)
+
+
 def build_state_graph(s: GeneratorSet, c_max: int = DEFAULT_C_MAX) -> StateGraph:
     """Construct the state graph for a nonempty generator set with c <= c_max."""
     c = s.c
@@ -137,18 +161,15 @@ def build_state_graph(s: GeneratorSet, c_max: int = DEFAULT_C_MAX) -> StateGraph
     if c > c_max:
         raise CapExceededError("c", c, c_max)
     a = s.a
-    n = 1 << c
-    v = np.arange(n, dtype=np.int64)
+    v = np.arange(1 << c, dtype=np.int64)
 
-    # line bit i <-> integer position i+1; a member at position x dominates
-    # x + step, i.e. shifts its bit left by step (right for negative steps)
-    def coverage(block: np.ndarray) -> np.ndarray:
-        cov = block.copy()
+    def coverage(line: np.ndarray) -> np.ndarray:
+        cov = line.copy()
         for step in s:
-            cov |= (block << step) if step > 0 else (block >> -step)
+            cov |= _shift(line, step)
         return cov
 
-    window = np.int64(((1 << c) - 1) << a)  # positions [a+1, a+c]
+    window = _window(s)
     uncovered = (~coverage(v) & window) >> a
     covers = (coverage(v << c) & window) >> a
     weights = np.bitwise_count(v).astype(np.int64)
@@ -240,19 +261,26 @@ def _test_threshold(uncovered: np.ndarray, covers: np.ndarray,
             # never reachable for c <= 16, but silent wraparound is worse
             # than a loud stop
             raise RuntimeError("64-bit packing range exceeded in cycle search")
-        # pack (value, node) so one transform yields min value and its argmin
-        packed = (y - base) * n + idx
+        # pack (value, node) so one transform yields min value and its argmin;
+        # this loop sets the engine's peak memory, hence the in-place updates
+        # and freeing `packed` before the next temporaries
+        packed = y - base
+        packed *= n
+        packed += idx
         t.fill(_INF)
         np.minimum.at(t, uncovered, packed)
+        del packed
         _submin_transform(t, c)
         gval = t[covers]
-        has = gval < _INF
-        cand = np.where(has, wq + (gval // n + base), _INF)
+        cand = gval // n
+        cand += base
+        cand += wq
+        cand[gval >= _INF] = _INF
         improved = cand < y
         if not improved.any():
             return _ThresholdResult(converged=True, y=y)
-        pred = np.where(improved, gval % n, pred)
-        y = np.where(improved, cand, y)
+        np.copyto(pred, gval % n, where=improved)
+        np.copyto(y, cand, where=improved)
         if rnd & (rnd - 1) == 0 or rnd == n + 1:
             found = _scan_pred_cycles(pred, np.nonzero(improved)[0], weights, mu)
             if found is not None:
@@ -295,7 +323,14 @@ def _cycle_nodes(uncovered, covers, y, tgt, n, c) -> np.ndarray:
 def _canonical_cycle(uncovered, covers, weights, n, c, mu: Fraction,
                      y: np.ndarray) -> tuple[int, ...]:
     """Shortest minimizing cycle; ties to the lexicographically smallest
-    state sequence started at its smallest state."""
+    state sequence started at its smallest state.
+
+    Every cycle has a unique smallest node v, so one backward BFS from each
+    v over the nodes larger than v finds the shortest cycle whose smallest
+    node is v: it closes at the first layer holding a successor of v.  The
+    first v reaching the global minimum length is the canonical start, and
+    its BFS distances guide the walk around the cycle.
+    """
     p, q = np.int64(mu.numerator), np.int64(mu.denominator)
     tgt = y - (q * weights - p)
     nodes = _cycle_nodes(uncovered, covers, y, tgt, n, c)
@@ -303,161 +338,45 @@ def _canonical_cycle(uncovered, covers, weights, n, c, mu: Fraction,
     u_r, h_r = uncovered[nodes], covers[nodes]
     y_r, tgt_r = y[nodes], tgt[nodes]
     m = len(nodes)
-    adj: list[np.ndarray] = []
-    for i in range(m):
-        mask = ((h_r & u_r[i]) == u_r[i]) & (tgt_r == y_r[i])
-        adj.append(np.nonzero(mask)[0])
 
-    keep = _nontrivial_scc_members(adj, m)
-    if not keep:
-        raise AssertionError("no cycle in the tight subgraph")
+    def successors(i: int) -> list[int]:  # ascending
+        return np.nonzero(((h_r & u_r[i]) == u_r[i]) & (tgt_r == y_r[i]))[0].tolist()
+
     radj: list[list[int]] = [[] for _ in range(m)]
-    for i in keep:
-        for j in adj[i]:
-            if int(j) in keep:
-                radj[int(j)].append(i)
+    for i in range(m):
+        for j in successors(i):
+            radj[j].append(i)
 
-    best_len = None
-    order = sorted(keep)
-    for v in order:
-        if v in adj[v]:
-            best_len = 1
-            break
-    if best_len is None:
-        best_len = _shortest_cycle_length(adj, keep, order)
-
-    for v in order:  # nodes are sorted by state value already
-        seq = _lex_min_cycle_from(v, best_len, adj, radj, keep)
-        if seq is not None:
-            return tuple(int(nodes[i]) for i in seq)
-    raise AssertionError("canonical cycle extraction failed")
-
-
-def _nontrivial_scc_members(adj: list[np.ndarray], m: int) -> set[int]:
-    """Indices lying in a strongly connected component that contains a cycle."""
-    index = [0] * m
-    low = [0] * m
-    on_stack = [False] * m
-    visited = [False] * m
-    stack: list[int] = []
-    counter = [1]
-    result: set[int] = set()
-
-    for root in range(m):
-        if visited[root]:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                visited[v] = True
-                index[v] = low[v] = counter[0]
-                counter[0] += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            neighbors = adj[v]
-            while pi < len(neighbors):
-                wv = int(neighbors[pi])
-                pi += 1
-                if not visited[wv]:
-                    work[-1] = (v, pi)
-                    work.append((wv, 0))
-                    advanced = True
-                    break
-                if on_stack[wv]:
-                    low[v] = min(low[v], index[wv])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    x = stack.pop()
-                    on_stack[x] = False
-                    comp.append(x)
-                    if x == v:
-                        break
-                if len(comp) > 1 or any(int(j) == v for j in adj[v]):
-                    result.update(comp)
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-    return result
-
-
-def _shortest_cycle_length(adj, keep: set[int], order: list[int]) -> int:
-    best = None
-    for v in order:
-        seen = {v}
-        frontier = [v]
-        d = 0
-        closed = False
-        while frontier and not closed and (best is None or d + 1 < best):
+    best_len, best_start, best_dist = m + 1, -1, {}
+    for v in range(m):
+        # dist[u]: length of the shortest path u -> v through nodes > v
+        dist, layer, d = {v: 0}, [v], 0
+        while layer and d + 1 < best_len:  # layer d closes cycles of length d+1
+            closes, nxt = False, []
+            for x in layer:
+                for u in radj[x]:
+                    if u == v:
+                        closes = True
+                    elif u > v and u not in dist:
+                        dist[u] = d + 1
+                        nxt.append(u)
+            if closes:
+                best_len, best_start, best_dist = d + 1, v, dist
+                break
             d += 1
-            nxt = []
-            for x in frontier:
-                if closed:
-                    break
-                for j in adj[x]:
-                    j = int(j)
-                    if j not in keep:
-                        continue
-                    if j == v:
-                        best = d
-                        closed = True
-                        break
-                    if j not in seen:
-                        seen.add(j)
-                        nxt.append(j)
-            frontier = nxt
-    assert best is not None
-    return best
+            layer = nxt
+        if best_len == 1:
+            break
+    if best_start < 0:
+        raise AssertionError("no cycle in the tight subgraph")
 
-
-def _lex_min_cycle_from(start: int, length: int, adj, radj,
-                        keep: set[int]) -> list[int] | None:
-    """Smallest cycle sequence of the given length starting at `start`,
-    with every other node larger than `start`.  Depth-first in ascending
-    order, pruned by backward distances to the start."""
-    # distances to start through allowed nodes (> start, inside keep)
-    dist_to = {start: 0}
-    frontier = [start]
-    d = 0
-    while frontier and d < length:
-        d += 1
-        nxt = []
-        for x in frontier:
-            for u in radj[x]:
-                if u != start and u > start and u in keep and u not in dist_to:
-                    dist_to[u] = d
-                    nxt.append(u)
-        frontier = nxt
-
-    path = [start]
-    used = {start}
-
-    def extend(cur: int, remaining: int) -> bool:
-        for j in sorted(int(x) for x in adj[cur]):
-            if remaining == 1:
-                if j == start:
-                    return True
-                continue
-            if j <= start or j not in keep or j in used:
-                continue
-            if dist_to.get(j, length + 1) > remaining - 1:
-                continue
-            used.add(j)
-            path.append(j)
-            if extend(j, remaining - 1):
-                return True
-            path.pop()
-            used.remove(j)
-        return False
-
-    if extend(start, length):
-        return path
-    return None
+    # With best_len the minimum length, a prefix of length best_len - r
+    # can only continue through a node exactly r steps from the start, and
+    # every such node completes a cycle, so the smallest one is always right.
+    seq = [best_start]
+    for r in range(best_len - 1, 0, -1):
+        seq.append(next(j for j in successors(seq[-1]) if best_dist.get(j) == r))
+    return tuple(int(nodes[i]) for i in seq)
 
 
 def min_mean_cycle(g: StateGraph) -> tuple[Fraction, tuple[int, ...]]:
@@ -495,6 +414,12 @@ class RatioCertificate:
     period: int
 
 
+def _unroll(cycle, c: int) -> PeriodicSet:
+    """Periodic set laying the cycle's states side by side as length-c windows."""
+    return PeriodicSet(len(cycle) * c, (e + i * c for i, t in enumerate(cycle)
+                                        for e in state_elements(t)))
+
+
 def domination_ratio(s: GeneratorSet, c_max: int = DEFAULT_C_MAX) -> RatioCertificate:
     """Exact domination ratio with a periodic witness.
 
@@ -506,14 +431,14 @@ def domination_ratio(s: GeneratorSet, c_max: int = DEFAULT_C_MAX) -> RatioCertif
     mean, cycle = min_mean_cycle(g)
     c = g.c
     ratio = mean / c
-    period = len(cycle) * c
-    residues = []
-    for i, t in enumerate(cycle):
-        residues.extend(e + i * c for e in state_elements(t))
-    witness = PeriodicSet(period, residues)
-    assert witness.density == ratio
-    assert period <= c * (1 << c)
-    assert verify_dominating(witness, s)
+    witness = _unroll(cycle, c)
+    period = witness.period
+    if witness.density != ratio:
+        raise CertificateError(f"witness density {witness.density} != {ratio} for {s}")
+    if period > c * (1 << c):
+        raise CertificateError(f"period {period} exceeds c*2^c for {s}")
+    if not verify_dominating(witness, s):
+        raise CertificateError(f"witness does not dominate for {s}")
     return RatioCertificate(ratio=ratio, cycle=cycle, witness=witness, period=period)
 
 
@@ -521,55 +446,37 @@ def domination_ratio(s: GeneratorSet, c_max: int = DEFAULT_C_MAX) -> RatioCertif
 # efficient dominating sets (exact cover)
 
 
-def _eds_count_tables(s: GeneratorSet, c_max: int):
-    c = s.c
-    if c < 1:
-        raise InputError("generator set must be nonempty")
-    if c > c_max:
-        raise CapExceededError("c", c, c_max)
-    a = s.a
-    n = 1 << c
-    v = np.arange(n, dtype=np.int64)
-    count_left = np.zeros((n, c), dtype=np.int16)
-    count_right = np.zeros((n, c), dtype=np.int16)
-    for sigma in [0, *s.elements]:
-        for tpos in range(c):
-            sh = a + tpos - sigma  # dominator inside the left window
-            if 0 <= sh < c:
-                count_left[:, tpos] += ((v >> sh) & 1).astype(np.int16)
-            shr = sh - c  # dominator inside the right window
-            if 0 <= shr < c:
-                count_right[:, tpos] += ((v >> shr) & 1).astype(np.int16)
-    return count_left, count_right
-
-
 def eds_exists(s: GeneratorSet,
                c_max: int = DEFAULT_C_MAX) -> tuple[bool, PeriodicSet | None]:
     """Decide whether some set dominates every integer exactly once.
 
-    Transitions are restricted to pairs whose window coverage counts are
-    exactly one everywhere; such a set exists iff the restricted relation
-    has a cycle, and any cycle unrolls into a periodic witness.
+    Transitions are restricted to pairs covering each window position
+    exactly once; such a set exists iff the restricted relation has a
+    cycle, and any cycle unrolls into a periodic witness.
     """
-    count_left, count_right = _eds_count_tables(s, c_max)
-    c = s.c
-    window_full = (1 << c) - 1
-    powers = (np.int64(1) << np.arange(c, dtype=np.int64))
+    g = build_state_graph(s, c_max=c_max)
+    c = g.c
+    v = np.arange(g.n_states, dtype=np.int64)
+    window = _window(s)
 
-    eligible = (count_left <= 1).all(axis=1) & (count_right <= 1).all(axis=1)
-    states = np.nonzero(eligible)[0]
-    if len(states) == 0:
-        return False, None
-    left_mask = (count_left[states].astype(np.int64) * powers).sum(axis=1)
-    right_mask = (count_right[states].astype(np.int64) * powers).sum(axis=1)
-    needed = window_full & ~left_mask
+    def covered_twice(line: np.ndarray) -> np.ndarray:
+        once = line.copy()
+        twice = np.zeros_like(line)
+        for step in s:
+            shifted = _shift(line, step)
+            twice |= once & shifted
+            once |= shifted
+        return twice
 
-    # quotient graph on coverage masks: each eligible state is one edge
-    # right_mask(T) -> needed(T); any cycle there lifts to a state cycle
+    single = ((covered_twice(v) | covered_twice(v << c)) & window) == 0
+    states = np.nonzero(single)[0]
+
+    # quotient graph on coverage masks: each state T is one edge
+    # covers(T) -> uncovered(T); any cycle there lifts to a state cycle
     adjacency: dict[int, list[int]] = {}
     lift: dict[tuple[int, int], int] = {}
-    for st, frm, to in sorted(zip(states.tolist(), right_mask.tolist(), needed.tolist()),
-                              key=lambda z: (z[1], z[2], z[0])):
+    for frm, to, st in sorted(zip(g.covers[states].tolist(),
+                                  g.uncovered[states].tolist(), states.tolist())):
         key = (frm, to)
         if key not in lift:
             lift[key] = st
@@ -581,11 +488,9 @@ def eds_exists(s: GeneratorSet,
     length = len(meta_cycle)
     cycle_states = [lift[(meta_cycle[i], meta_cycle[(i + 1) % length])]
                     for i in range(length)]
-    residues = []
-    for i, t in enumerate(cycle_states):
-        residues.extend(e + i * c for e in state_elements(t))
-    witness = PeriodicSet(length * c, residues)
-    assert all(k == 1 for k in coverage_counts(witness, s))
+    witness = _unroll(cycle_states, c)
+    if any(k != 1 for k in coverage_counts(witness, s)):
+        raise CertificateError(f"EDS witness does not cover exactly once for {s}")
     return True, witness
 
 

@@ -12,7 +12,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import blockdsl
-from .circulant import CirculantInstance, domination_number, ratio_oracle, residues
+from .circulant import (
+    DEFAULT_N_MAX,
+    CirculantInstance,
+    domination_number,
+    ratio_oracle,
+    residues,
+)
 from .core import (
     BlockStructure,
     GeneratorSet,
@@ -28,9 +34,12 @@ from .formulas import (
     ratio_one_s,
     ratio_pair_dividing,
 )
-from .stategraph import RatioCertificate, domination_ratio, eds_exists
+from .stategraph import DEFAULT_C_MAX, RatioCertificate, domination_ratio, eds_exists
 
 RNG_SEED = 20260810
+
+# random property-test cases drawn by criterion 9
+DEFAULT_CASES = 500
 
 DIVIDING_PAIRS = [(2, 4), (2, 8), (3, 6), (2, -6), (3, -9)]
 
@@ -53,9 +62,9 @@ class Row:
 
 @dataclass
 class _Context:
-    c_max: int = 16
-    n_max: int = 30
-    cases: int = 500
+    c_max: int = DEFAULT_C_MAX
+    n_max: int = DEFAULT_N_MAX
+    cases: int = DEFAULT_CASES
     _ratio_memo: dict = field(default_factory=dict)
 
     def ratio(self, s: GeneratorSet) -> RatioCertificate:
@@ -316,7 +325,8 @@ _CRITERIA = {
 }
 
 
-def run_verification(c_max: int = 16, n_max: int = 30, cases: int = 500,
+def run_verification(c_max: int = DEFAULT_C_MAX, n_max: int = DEFAULT_N_MAX,
+                     cases: int = DEFAULT_CASES,
                      criteria=None) -> list[Row]:
     """Run all (or selected) criteria and return their rows."""
     ctx = _Context(c_max=c_max, n_max=n_max, cases=cases)

@@ -128,3 +128,16 @@ def brute_small_period_exact_cover(s, coverage_counts, periodic_set, max_period=
                 if all(k == 1 for k in coverage_counts(u, s)):
                     return True, u
     return False, None
+
+
+def exact_transitions_naive(s):
+    """Pairs (T, T') of c-bit window contents that together dominate every
+    j in [a+1, c+a] exactly once, counted directly on the two windows."""
+    a, c = s.a, s.c
+    for t in range(1 << c):
+        for u in range(1 << c):
+            members = {i + 1 for i in range(c) if t >> i & 1}
+            members |= {i + 1 + c for i in range(c) if u >> i & 1}
+            if all((j in members) + sum(j - step in members for step in s) == 1
+                   for j in range(a + 1, c + a + 1)):
+                yield t, u

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from domrat import blockdsl, verification
+from domrat import blockdsl, stategraph, verification
 from domrat.cli import main, parse_set_literal
 from domrat.core import GeneratorSet, blocks_to_periodic, verify_dominating
 from domrat.errors import InputError
@@ -167,3 +167,10 @@ def test_verify_paper_detects_corruption(capsys, monkeypatch):
     code, out, _ = run(capsys, "--c-max", "4", "verify-paper", "--cases", "2")
     assert code == 1
     assert "FAIL" in out
+
+
+def test_failed_self_check_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(stategraph, "verify_dominating", lambda u, s: False)
+    code, _, err = run(capsys, "ratio", "{1,2}")
+    assert code == 1
+    assert "does not dominate" in err

@@ -5,7 +5,6 @@ import pytest
 from domrat.core import GeneratorSet
 from domrat.errors import InputError
 from domrat.formulas import (
-    ClosedForm,
     Family,
     circulant_bounds_one_s,
     circulant_bounds_pm_one_s,
@@ -116,7 +115,7 @@ def test_circulant_known_one_s():
     with pytest.raises(InputError):
         circulant_known(10, Family.ONE_S, 1)
     with pytest.raises(InputError):
-        circulant_known(7, Family.SINGLE_GEN)
+        circulant_known(7, "single-gen")
 
 
 def test_circulant_bounds():
@@ -142,12 +141,6 @@ def test_cong_family_examples():
         cong_family(2, (0,))
     with pytest.raises(InputError):
         cong_family(1, (0, 0))
-
-
-def test_closed_form_record():
-    form = ClosedForm(Family.ONE_S, (7,), Fraction(3, 8))
-    assert form.value == ratio_one_s(7)
-    assert form.family is Family.ONE_S
 
 
 def test_agreement_with_engine_small():

@@ -1,11 +1,17 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from domrat import stategraph
 from domrat.circulant import domination_number, ratio_oracle, residues
 from domrat.core import GeneratorSet, PeriodicSet, coverage_counts, verify_dominating
-from domrat.errors import CapExceededError, InputError
+from domrat.errors import CapExceededError, CertificateError, InputError
 from domrat.formulas import cong_family
 from domrat.stategraph import (
     StateGraph,
@@ -22,6 +28,7 @@ from oracles import (
     all_transitions_naive,
     brute_canonical_cycle,
     brute_small_period_exact_cover,
+    exact_transitions_naive,
     karp_min_mean,
 )
 
@@ -248,6 +255,65 @@ def test_eds_agrees_with_small_period_brute_force(els):
         assert engine
     if engine and witness.period <= 10:
         assert brute
+
+
+def _has_cycle(edges):
+    """Whether a finite edge set holds a directed cycle: drop edges into
+    sinks until nothing changes."""
+    live = set(edges)
+    while True:
+        tails = {t for t, _ in live}
+        kept = {(t, u) for t, u in live if u in tails}
+        if kept == live:
+            return bool(live)
+        live = kept
+
+
+def test_eds_matches_naive_exact_transitions():
+    pool = [x for x in range(-5, 6) if x]
+    sets = [GeneratorSet(els) for k in range(1, len(pool) + 1)
+            for els in combinations(pool, k)]
+    for s in (s for s in sets if s.c <= 6):
+        exact = set(exact_transitions_naive(s))
+        exists, witness = eds_exists(s)
+        assert exists == _has_cycle(exact), s
+        if exists:
+            c, n = s.c, witness.period // s.c
+            states = [sum(1 << (r - 1 - i * c) for r in witness.residues
+                          if i * c < r <= (i + 1) * c) for i in range(n)]
+            assert all((states[i], states[(i + 1) % n]) in exact
+                       for i in range(n)), s
+
+
+def test_ratio_self_check_raises(monkeypatch):
+    monkeypatch.setattr(stategraph, "verify_dominating", lambda u, s: False)
+    with pytest.raises(CertificateError):
+        domination_ratio(GeneratorSet([1, 2]))
+
+
+def test_eds_self_check_raises(monkeypatch):
+    monkeypatch.setattr(stategraph, "coverage_counts", lambda u, s: [2])
+    with pytest.raises(CertificateError):
+        eds_exists(GeneratorSet([1, 2]))
+
+
+def test_self_checks_survive_optimize_flag():
+    code = """
+from domrat import GeneratorSet, stategraph
+from domrat.errors import CertificateError
+stategraph.verify_dominating = lambda u, s: False
+stategraph.coverage_counts = lambda u, s: [2]
+for check in (stategraph.domination_ratio, stategraph.eds_exists):
+    try:
+        check(GeneratorSet([1, 2]))
+    except CertificateError:
+        print("raised")
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.split() == ["raised", "raised"], out.stderr
 
 
 def test_eds_exists_cap_and_empty():
