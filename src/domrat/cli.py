@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 malformed input, 3 resource cap exceeded,
-1 verification failure.  All output is deterministic for fixed inputs.
+Exit codes: 0 success, 1 verification failure, 2 malformed input,
+3 resource cap exceeded, 4 internal error (a certificate failed its own
+re-verification, or an unexpected exception).  All output is deterministic
+for fixed inputs.
 """
 
 from __future__ import annotations
@@ -338,9 +340,9 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - defensive
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except Exception as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -24,8 +24,10 @@ so the whole edge relation is two arrays of 2^c masks, never a 2^c x 2^c
 table.  The minimum cycle mean is found by testing candidate means mu = p/q
 exactly: subtracting p from q-scaled weights makes cycles below mu negative,
 and a vectorized Bellman-Ford pass either certifies none exist or yields a
-strictly better cycle from its predecessor pointers.  All arithmetic is
-integer/Fraction; no floating point anywhere.
+strictly better cycle from its predecessor pointers.  Those pointer cycles
+are found by pointer doubling over all 2^c states at once, labelling each
+cycle by its smallest state.  All arithmetic is integer/Fraction; no
+floating point anywhere.
 
 Sets dominating every integer exactly once use the same masks.  A pair
 covers each window position exactly once iff neither side covers any
@@ -202,39 +204,72 @@ class _ThresholdResult:
     converged: bool
     y: np.ndarray | None = None
     mean: Fraction | None = None
-    cycle: tuple[int, ...] | None = None
 
 
-def _scan_pred_cycles(pred: np.ndarray, starts: np.ndarray, weights: np.ndarray,
-                      mu: Fraction) -> tuple[Fraction, tuple[int, ...]] | None:
-    """Search the predecessor pointers for a cycle with mean below mu.
+def _scan_pred_cycles(pred: np.ndarray, improved: np.ndarray,
+                      weights: np.ndarray, mu: Fraction, idx: np.ndarray,
+                      nxt: np.ndarray, lo: np.ndarray,
+                      spare: np.ndarray) -> Fraction | None:
+    """Smallest mean below mu among the predecessor-pointer cycles that the
+    pointer walks from the improved nodes run into, or None.
 
     Predecessor edges are real graph edges, so any pointer cycle is a real
     cycle; pointers are only (re)assigned on strict improvement, which makes
     every pointer cycle strictly negative for the current threshold.
+
+    Wyllie's pointer doubling: after k squarings nxt[v] is 2^k steps along
+    v's walk and lo[v] the smallest node among those steps.  Once 2^k >= n
+    every walk has reached its final cycle (or a node without a pointer,
+    which points at itself), and on a cycle lo is the cycle's smallest node,
+    used as its label.  idx is arange(n); nxt, lo and spare are int64
+    scratch arrays of length n, overwritten.
     """
     n = pred.shape[0]
-    color = np.zeros(n, dtype=np.int8)  # 0 new, 1 on walk, 2 finished
-    best: tuple[Fraction, tuple[int, ...]] | None = None
-    for s0 in starts:
-        v = int(s0)
-        if color[v]:
-            continue
-        path: list[int] = []
-        while v >= 0 and color[v] == 0:
-            color[v] = 1
-            path.append(v)
-            v = int(pred[v])
-        if v >= 0 and color[v] == 1:
-            i = path.index(v)
-            # pointers run backwards: forward cycle is v then the walk suffix reversed
-            cyc = [path[i]] + path[:i:-1]
-            total = int(weights[cyc].sum())
-            mean = Fraction(total, len(cyc))
-            if mean < mu and (best is None or (mean, len(cyc)) < (best[0], len(best[1]))):
-                best = (mean, tuple(cyc))
-        for x in path:
-            color[x] = 2
+    np.copyto(nxt, pred)
+    np.copyto(nxt, idx, where=pred < 0)
+    np.copyto(lo, idx)
+    for _ in range((n - 1).bit_length()):
+        np.take(lo, nxt, out=spare, mode="clip")
+        np.minimum(lo, spare, out=lo)
+        np.take(nxt, nxt, out=spare, mode="clip")
+        nxt, spare = spare, nxt
+    label = np.take(lo, nxt, out=spare, mode="clip")
+    # the image of nxt is every cycle node, plus each node without a pointer
+    # on its stand-in self-loop (dropped below); mark[n] is a spare slot
+    mark = np.ones(n + 1, dtype=bool)
+    mark[nxt] = False
+
+    # per label, (length << shift) + total weight of the cycle's nodes;
+    # below 2^63 while 2c + 1 + bit_length(c) <= 63, i.e. c <= 28
+    shift = (n * int(weights.max())).bit_length()
+    if n.bit_length() + shift > 63:
+        raise CapExceededError("cycle-scan packing bits", n.bit_length() + shift, 63)
+    stats = lo
+    stats.fill(0)
+    np.add(weights, 1 << shift, out=nxt)
+    np.copyto(nxt, 0, where=mark[:n])
+    np.add.at(stats, label, nxt)
+
+    # labels reached from the improved nodes; the others go to the spare slot
+    reach = nxt
+    reach.fill(n)
+    np.copyto(reach, label, where=improved)
+    mark.fill(False)
+    mark[reach] = True
+    labels = np.flatnonzero(mark[:n])
+    found = stats[labels[pred[labels] >= 0]]  # drop the stand-in self-loops
+
+    # smallest total per cycle length; disjoint cycles have fewer than
+    # sqrt(2n) distinct lengths, so few Fractions are built
+    low = (1 << shift) - 1
+    by_length = spare
+    by_length.fill(low + 1)
+    np.minimum.at(by_length, (found >> shift) - 1, found & low)
+    best = None
+    for i in np.flatnonzero(by_length <= low).tolist():
+        mean = Fraction(int(by_length[i]), i + 1)
+        if mean < mu and (best is None or mean < best):
+            best = mean
     return best
 
 
@@ -246,7 +281,7 @@ def _test_threshold(uncovered: np.ndarray, covers: np.ndarray,
     Runs value iteration y(v) <- min(y(v), q*w(v) - p + min over consistent
     predecessors u of y(u)), the inner min taken through a subset-minimum
     transform keyed by the uncovered masks.  Convergence certifies that no
-    cycle beats mu; otherwise a strictly better cycle is extracted from the
+    cycle beats mu; otherwise a strictly better cycle is found in the
     predecessor pointers (guaranteed to exist by round n+1).
     """
     p, q = np.int64(mu.numerator), np.int64(mu.denominator)
@@ -255,12 +290,16 @@ def _test_threshold(uncovered: np.ndarray, covers: np.ndarray,
     pred = np.full(n, -1, dtype=np.int64)
     idx = np.arange(n, dtype=np.int64)
     t = np.empty(n, dtype=np.int64)
+    gval = np.empty(n, dtype=np.int64)
+    cand = np.empty(n, dtype=np.int64)
     for rnd in range(1, n + 2):
         base = y.min()
-        if (int(y.max()) - int(base) + 1) * n >= int(_INF):
-            # never reachable for c <= 16, but silent wraparound is worse
-            # than a loud stop
-            raise RuntimeError("64-bit packing range exceeded in cycle search")
+        span = (int(y.max()) - int(base) + 1) * n
+        if span >= int(_INF):
+            # mu = p/q has q <= n (a cycle length, or 1) and p <= (c+1)q, each
+            # round lowers min y by at most p, and the check sees at most n
+            # rounds, so span <= (c+1)n^3 + n < 2^61 for c <= 18
+            raise CapExceededError("packed (value, node) span", span, int(_INF))
         # pack (value, node) so one transform yields min value and its argmin;
         # this loop sets the engine's peak memory, hence the in-place updates
         # and freeing `packed` before the next temporaries
@@ -271,20 +310,22 @@ def _test_threshold(uncovered: np.ndarray, covers: np.ndarray,
         np.minimum.at(t, uncovered, packed)
         del packed
         _submin_transform(t, c)
-        gval = t[covers]
-        cand = gval // n
+        np.take(t, covers, out=gval, mode="clip")
+        np.floor_divide(gval, n, out=cand)
         cand += base
         cand += wq
         cand[gval >= _INF] = _INF
         improved = cand < y
         if not improved.any():
             return _ThresholdResult(converged=True, y=y)
-        np.copyto(pred, gval % n, where=improved)
+        np.remainder(gval, n, out=t)
+        np.copyto(pred, t, where=improved)
         np.copyto(y, cand, where=improved)
         if rnd & (rnd - 1) == 0 or rnd == n + 1:
-            found = _scan_pred_cycles(pred, np.nonzero(improved)[0], weights, mu)
-            if found is not None:
-                return _ThresholdResult(converged=False, mean=found[0], cycle=found[1])
+            # t, gval and cand are dead until the next round: scan scratch
+            mean = _scan_pred_cycles(pred, improved, weights, mu, idx, t, gval, cand)
+            if mean is not None:
+                return _ThresholdResult(converged=False, mean=mean)
             if rnd == n + 1:
                 raise AssertionError("value iteration passed round n+1 without a cycle")
     raise AssertionError("unreachable")

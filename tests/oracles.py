@@ -6,6 +6,8 @@ depth-first enumeration."""
 
 from fractions import Fraction
 
+import numpy as np
+
 
 def karp_min_mean(g):
     """Exact minimum cycle mean by the classic walk-length recurrence,
@@ -32,6 +34,33 @@ def karp_min_mean(g):
                 for k in range(n) if d[k][v] is not None)
         if best is None or m < best:
             best = m
+    return best
+
+
+def pred_cycle_mean_naive(pred, improved, weights, mu):
+    """Smallest mean below mu among the predecessor-pointer cycles reached
+    by walking the pointers from the improved nodes, or None.
+
+    Walks node by node, colouring nodes as new, on the current walk or
+    finished; a walk that meets its own path has found a cycle."""
+    n = len(pred)
+    color = [0] * n  # 0 new, 1 on walk, 2 finished
+    best = None
+    for v in np.nonzero(improved)[0].tolist():
+        if color[v]:
+            continue
+        path = []
+        while v >= 0 and color[v] == 0:
+            color[v] = 1
+            path.append(v)
+            v = int(pred[v])
+        if v >= 0 and color[v] == 1:
+            cyc = path[path.index(v):]
+            mean = Fraction(sum(int(weights[x]) for x in cyc), len(cyc))
+            if mean < mu and (best is None or mean < best):
+                best = mean
+        for x in path:
+            color[x] = 2
     return best
 
 

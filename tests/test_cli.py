@@ -169,8 +169,8 @@ def test_verify_paper_detects_corruption(capsys, monkeypatch):
     assert "FAIL" in out
 
 
-def test_failed_self_check_exits_1(capsys, monkeypatch):
+def test_failed_self_check_exits_4(capsys, monkeypatch):
     monkeypatch.setattr(stategraph, "verify_dominating", lambda u, s: False)
     code, _, err = run(capsys, "ratio", "{1,2}")
-    assert code == 1
+    assert code == 4
     assert "does not dominate" in err

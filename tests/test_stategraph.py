@@ -30,6 +30,7 @@ from oracles import (
     brute_small_period_exact_cover,
     exact_transitions_naive,
     karp_min_mean,
+    pred_cycle_mean_naive,
 )
 
 
@@ -124,6 +125,54 @@ def test_min_mean_cycle_rejects_acyclic_fixture():
     weights = np.array([0, 1, 1, 2], dtype=np.int64)
     with pytest.raises(InputError):
         min_mean_cycle(StateGraph(s, 2, uncovered, covers, weights))
+
+
+def _scan(pred, improved, weights, mu):
+    pred = np.asarray(pred, dtype=np.int64)
+    n = len(pred)
+    scratch = [np.empty(n, dtype=np.int64) for _ in range(3)]
+    return stategraph._scan_pred_cycles(
+        pred, np.asarray(improved, dtype=bool), np.asarray(weights, dtype=np.int64),
+        mu, np.arange(n, dtype=np.int64), *scratch)
+
+
+# (pred, improved nodes, weights, mu, smallest mean below mu reached)
+_SCAN_FIXTURES = [
+    # walks end at nodes without a pointer: no cycle
+    ([-1, 0, 1, -1], [2, 3], [0, 0, 0, 0], Fraction(5), None),
+    # self-loop of weight 1 and a 2-cycle of the same mean, plus mean 3/2
+    ([0, 2, 1, 4, 3], [0, 1, 3], [1, 1, 1, 1, 2], Fraction(5), Fraction(1)),
+    # a 40-node tail from node 0 into the pointer cycle 40 -> 41 -> 42 -> 40
+    (list(range(1, 41)) + [41, 42, 40], [0], [0] * 40 + [1, 0, 1],
+     Fraction(5), Fraction(2, 3)),
+    # the mean-0 cycle {0, 1} is reached by no improved node
+    ([1, 0, 3, 2, 2], [4], [0, 0, 2, 1, 0], Fraction(5), Fraction(3, 2)),
+    # the only reached cycle is not below mu
+    ([1, 0], [0], [1, 2], Fraction(3, 2), None),
+    # nothing improved
+    ([0], [], [0], Fraction(1), None),
+]
+
+
+@pytest.mark.parametrize("pred,starts,weights,mu,want", _SCAN_FIXTURES)
+def test_pred_cycle_scan_fixtures(pred, starts, weights, mu, want):
+    improved = np.zeros(len(pred), dtype=bool)
+    improved[starts] = True
+    assert pred_cycle_mean_naive(pred, improved, weights, mu) == want
+    assert _scan(pred, improved, weights, mu) == want
+
+
+def test_pred_cycle_scan_matches_naive_walk():
+    rng = np.random.default_rng(2024)
+    for _ in range(400):
+        n = int(rng.integers(1, 70))
+        pred = rng.integers(0, n, n)
+        pred[rng.random(n) < rng.random() * 0.3] = -1
+        improved = rng.random(n) < rng.random()
+        weights = rng.integers(0, 4, n)
+        mu = Fraction(int(rng.integers(1, 20)), int(rng.integers(1, 6)))
+        want = pred_cycle_mean_naive(pred, improved, weights, mu)
+        assert _scan(pred, improved, weights, mu) == want, (pred, improved, weights, mu)
 
 
 @pytest.mark.parametrize("els,want", [
@@ -314,6 +363,15 @@ for check in (stategraph.domination_ratio, stategraph.eds_exists):
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.split() == ["raised", "raised"], out.stderr
+
+
+def test_packing_span_guard_raises(monkeypatch):
+    # a (value, node) span at or past the sentinel must stop the search, not
+    # wrap; c <= 18 never gets there, so shrink the sentinel to just above
+    # the first round's span (n = 4 states, all values 0)
+    monkeypatch.setattr(stategraph, "_INF", np.int64(5))
+    with pytest.raises(CapExceededError):
+        domination_ratio(GeneratorSet([1, 2]))
 
 
 def test_eds_exists_cap_and_empty():
