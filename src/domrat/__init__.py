@@ -40,7 +40,6 @@ from .stategraph import (
     build_state_graph,
     domination_ratio,
     eds_exists,
-    is_transition,
     min_mean_cycle,
     state_elements,
     state_of,
@@ -73,7 +72,6 @@ __all__ = [
     "eds_predicted",
     "flatten",
     "is_dominating",
-    "is_transition",
     "min_mean_cycle",
     "oracle_scan",
     "parse",

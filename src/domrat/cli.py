@@ -256,14 +256,14 @@ def cmd_verify_paper(args, cfg: RunConfig) -> int:
 
 def _add_common_options(parser: argparse.ArgumentParser, top_level: bool) -> None:
     # the same options are accepted before or after the subcommand; the
-    # subcommand copies use SUPPRESS so an absent flag keeps the outer value
-    default_c_max = int(os.environ.get("DOMRAT_C_MAX", DEFAULT_C_MAX))
+    # subcommand copies use SUPPRESS so an absent flag keeps the outer value.
+    # An absent --c-max stays None and main() falls back to DOMRAT_C_MAX.
     sup = argparse.SUPPRESS
 
     def dflt(value):
         return value if top_level else sup
 
-    parser.add_argument("--c-max", type=int, default=dflt(default_c_max),
+    parser.add_argument("--c-max", type=int, default=dflt(None),
                         help="cap on the window width c (env DOMRAT_C_MAX)")
     parser.add_argument("--n-max", type=int, default=dflt(DEFAULT_N_MAX),
                         help="cap on circulant solver size")
@@ -320,19 +320,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _env_c_max() -> int:
+    text = os.environ.get("DOMRAT_C_MAX")
+    if text is None:
+        return DEFAULT_C_MAX
+    try:
+        return int(text)
+    except ValueError:
+        raise InputError(f"DOMRAT_C_MAX must be an integer, got {text!r}") from None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = RunConfig(c_max=args.c_max, n_max=args.n_max,
-                    output_format=args.output_format, decimal=args.decimal,
-                    cases=getattr(args, "cases", verification.DEFAULT_CASES))
-    if cfg.c_max < 1 or cfg.n_max < 1:
-        print("caps must be positive", file=sys.stderr)
-        return 2
-    if args.command == "blocks" and args.action == "verify" and args.set is None:
-        print("blocks verify needs a generator set", file=sys.stderr)
-        return 2
     try:
+        cfg = RunConfig(c_max=_env_c_max() if args.c_max is None else args.c_max,
+                        n_max=args.n_max, output_format=args.output_format,
+                        decimal=args.decimal,
+                        cases=getattr(args, "cases", verification.DEFAULT_CASES))
+        if cfg.c_max < 1 or cfg.n_max < 1:
+            print("caps must be positive", file=sys.stderr)
+            return 2
+        if args.command == "blocks" and args.action == "verify" and args.set is None:
+            print("blocks verify needs a generator set", file=sys.stderr)
+            return 2
         return args.func(args, cfg)
     except CapExceededError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)

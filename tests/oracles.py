@@ -8,12 +8,57 @@ from fractions import Fraction
 
 import numpy as np
 
+from domrat.errors import InputError
+
+
+def successors(g, t):
+    """States t may be followed by, ascending: uncovered[t] within covers."""
+    u = g.uncovered[t]
+    return tuple(np.flatnonzero((g.covers & u) == u).tolist())
+
+
+def weight(g, t):
+    return int(g.weights[t])
+
+
+def is_edge(g, t, t_prime):
+    return (int(g.uncovered[t]) & ~int(g.covers[t_prime])) == 0
+
+
+def is_transition(t, t_prime, s):
+    """Direct window check for consistency of adjacent window contents.
+
+    Positions of t live on [1, c], positions of t_prime on [c+1, 2c]; every
+    j in [a+1, c+a] must be a member or have a member at j - step.
+    """
+    a, c = s.a, s.c
+    if c < 1:
+        raise InputError("generator set must be nonempty")
+    if not 0 <= t < (1 << c) or not 0 <= t_prime < (1 << c):
+        raise InputError("state mask out of range")
+    members = {i + 1 for i in range(c) if t >> i & 1}
+    members |= {i + 1 + c for i in range(c) if t_prime >> i & 1}
+    return all(j in members or any(j - step in members for step in s)
+               for j in range(a + 1, c + a + 1))
+
+
+def submask_min_naive(t):
+    """out[m] = min of t over every submask of m, one mask at a time."""
+    idx = np.arange(len(t))
+    return np.array([t[(idx & m) == idx].min() for m in idx])
+
+
+def supermask_max_naive(t):
+    """out[m] = max of t over every supermask of m, one mask at a time."""
+    idx = np.arange(len(t))
+    return np.array([t[(idx & m) == m].max() for m in idx])
+
 
 def karp_min_mean(g):
     """Exact minimum cycle mean by the classic walk-length recurrence,
     rooted at the full state (which reaches everything)."""
     n = g.n_states
-    succ = {u: g.successors(u) for u in g.states()}
+    succ = {u: successors(g, u) for u in g.states()}
     d = [[None] * n for _ in range(n + 1)]
     d[0][g.full_state] = 0
     for k in range(1, n + 1):
@@ -23,7 +68,7 @@ def karp_min_mean(g):
             if du is None:
                 continue
             for v in succ[u]:
-                w = du + g.weight(v)
+                w = du + weight(g, v)
                 if dk[v] is None or w < dk[v]:
                     dk[v] = w
     best = None
@@ -73,7 +118,7 @@ def brute_canonical_cycle(g, mu):
     paths, so it never cuts a real solution).
     """
     n, c = g.n_states, g.c
-    succ = {u: sorted(g.successors(u)) for u in g.states()}
+    succ = {u: successors(g, u) for u in g.states()}
     for length in range(1, n + 1):
         target = mu * length
         if target.denominator != 1:
@@ -81,7 +126,7 @@ def brute_canonical_cycle(g, mu):
         target = target.numerator
         for start in range(n):
             if length == 1:
-                if start in succ[start] and g.weight(start) == target:
+                if start in succ[start] and weight(g, start) == target:
                     return (start,)
                 continue
             found = _search_from(g, succ, start, length, target)
@@ -105,7 +150,7 @@ def _search_from(g, succ, start, length, target):
             for x in succ[v]:
                 m = prev.get(x)
                 if m:
-                    acc |= (m << g.weight(x)) & full_bits
+                    acc |= (m << weight(g, x)) & full_bits
             if acc:
                 cur[v] = acc
         reach.append(cur)
@@ -116,11 +161,11 @@ def _search_from(g, succ, start, length, target):
     def extend(cur, total, depth):
         rem = length - depth
         if rem == 1:
-            return start in succ[cur] and total + g.weight(start) == target
+            return start in succ[cur] and total + weight(g, start) == target
         for v in succ[cur]:
             if v <= start or v in used:
                 continue
-            tw = total + g.weight(v)
+            tw = total + weight(g, v)
             if tw > target:
                 continue
             m = reach[rem - 1].get(v)

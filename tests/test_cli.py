@@ -153,6 +153,21 @@ def test_env_var_cap(capsys, monkeypatch):
     assert code == 0  # explicit flag beats the environment
 
 
+def test_bad_env_cap_is_input_error(capsys, monkeypatch):
+    monkeypatch.setenv("DOMRAT_C_MAX", "abc")
+    code, _, err = run(capsys, "ratio", "{1,2}")
+    assert code == 2 and "input error" in err and "DOMRAT_C_MAX" in err
+    code, out, _ = run(capsys, "--c-max", "4", "ratio", "{1,2}")
+    assert code == 0 and "ratio: 1/3" in out  # the flag makes the env unused
+
+
+def test_c_past_engine_limit_exits_3(capsys):
+    code, _, err = run(capsys, "--c-max", "40", "ratio", "{1,40}")
+    assert code == 3 and "c=40 exceeds cap 28" in err
+    code, _, err = run(capsys, "--c-max", "40", "eds", "{1,40}")
+    assert code == 3
+
+
 def test_verify_paper_small(capsys):
     code, out, _ = run(capsys, "--c-max", "5", "verify-paper", "--cases", "5")
     assert code == 0

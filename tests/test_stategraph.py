@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from domrat import stategraph
 from domrat.circulant import domination_number, ratio_oracle, residues
@@ -18,7 +20,6 @@ from domrat.stategraph import (
     build_state_graph,
     domination_ratio,
     eds_exists,
-    is_transition,
     min_mean_cycle,
     state_elements,
     state_of,
@@ -29,8 +30,13 @@ from oracles import (
     brute_canonical_cycle,
     brute_small_period_exact_cover,
     exact_transitions_naive,
+    is_edge,
+    is_transition,
     karp_min_mean,
     pred_cycle_mean_naive,
+    submask_min_naive,
+    successors,
+    supermask_max_naive,
 )
 
 
@@ -66,21 +72,21 @@ def test_graph_edges_match_naive_definition(els):
     s = GeneratorSet(els)
     g = build_state_graph(s)
     naive = all_transitions_naive(g, is_transition, s)
-    implicit = {(t, u) for t in g.states() for u in g.successors(t)}
+    implicit = {(t, u) for t in g.states() for u in successors(g, t)}
     assert implicit == naive
     for t in g.states():
         for u in g.states():
-            assert g.is_edge(t, u) == ((t, u) in naive)
+            assert is_edge(g, t, u) == ((t, u) in naive)
 
 
 def test_build_graph_examples():
     g = build_state_graph(GeneratorSet([1, 2]))
     assert g.n_states == 4
-    assert 0 in g.successors(g.full_state)  # full may be followed by empty
+    assert 0 in successors(g, g.full_state)  # full may be followed by empty
 
     g1 = build_state_graph(GeneratorSet([1]))
     assert g1.n_states == 2
-    edges = {(t, u) for t in g1.states() for u in g1.successors(t)}
+    edges = {(t, u) for t in g1.states() for u in successors(g1, t)}
     assert edges == {(1, 1), (1, 0), (0, 1)}
 
     with pytest.raises(InputError):
@@ -151,6 +157,19 @@ _SCAN_FIXTURES = [
     ([1, 0], [0], [1, 2], Fraction(3, 2), None),
     # nothing improved
     ([0], [], [0], Fraction(1), None),
+    # every walk ends at one of two nodes without a pointer
+    ([-1, 0, 1, 2, -1, 4, 5, 1], [3, 6, 7], [0] * 8, Fraction(5), None),
+    # a real self-loop at node 2; every other walk ends at a node without one
+    ([-1, 0, 2, 2, 0, -1, 5], [1, 3, 6], [0, 0, 1, 0, 0, 0, 0], Fraction(5),
+     Fraction(1)),
+    # the same self-loop, reached by no improved node
+    ([-1, 0, 2, 2, 0, -1, 5], [1, 4, 6], [0, 0, 1, 0, 0, 0, 0], Fraction(5),
+     None),
+    # tails of exactly 8 and 9 nodes from node 0 into a 2-cycle of mean 1/2:
+    # the walk from 0 stops moving only after the doubling that passes 8
+    (list(range(1, 9)) + [9, 8], [0], [0] * 8 + [1, 0], Fraction(5), Fraction(1, 2)),
+    (list(range(1, 10)) + [10, 9], [0], [0] * 9 + [1, 0], Fraction(5),
+     Fraction(1, 2)),
 ]
 
 
@@ -173,6 +192,23 @@ def test_pred_cycle_scan_matches_naive_walk():
         mu = Fraction(int(rng.integers(1, 20)), int(rng.integers(1, 6)))
         want = pred_cycle_mean_naive(pred, improved, weights, mu)
         assert _scan(pred, improved, weights, mu) == want, (pred, improved, weights, mu)
+
+
+@pytest.mark.parametrize("c", range(1, 15))
+def test_subset_transform_matches_naive(c):
+    # c = 1..14 runs bit 0, the column form of bits 1-3 and the block
+    # form of bits >= 4 at several sizes; sentinels as the engine uses them
+    rng = np.random.default_rng(c)
+    n = 1 << c
+    t = rng.integers(-(1 << 62), 1 << 62, n)
+    t[rng.random(n) < 0.3] = stategraph._INF
+    t[rng.random(n) < 0.1] = -stategraph._INF
+    low = t.copy()
+    stategraph._subset_transform(low, c, np.minimum)
+    assert np.array_equal(low, submask_min_naive(t))
+    high = t.copy()
+    stategraph._subset_transform(high[::-1], c, np.maximum)
+    assert np.array_equal(high, supermask_max_naive(t))
 
 
 @pytest.mark.parametrize("els,want", [
@@ -372,6 +408,34 @@ def test_packing_span_guard_raises(monkeypatch):
     monkeypatch.setattr(stategraph, "_INF", np.int64(5))
     with pytest.raises(CapExceededError):
         domination_ratio(GeneratorSet([1, 2]))
+
+
+@given(st.sets(st.integers(min_value=-6, max_value=6).filter(lambda x: x != 0),
+               min_size=1, max_size=3))
+@settings(max_examples=30, deadline=None)
+def test_cap_edges(els):
+    s = GeneratorSet(els)
+    assert domination_ratio(s, c_max=s.c).period <= s.c * (1 << s.c)
+    with pytest.raises(CapExceededError):
+        domination_ratio(s, c_max=s.c - 1)
+    with pytest.raises(CapExceededError):
+        eds_exists(s, c_max=s.c - 1)
+    with pytest.raises(InputError):
+        domination_ratio(GeneratorSet([]), c_max=s.c)
+
+
+@given(st.integers(min_value=1, max_value=12), st.sampled_from([1, -1]))
+@settings(max_examples=30, deadline=None)
+def test_single_generator_ratio_is_half(step, sign):
+    assert domination_ratio(GeneratorSet([sign * step]), c_max=12).ratio == Fraction(1, 2)
+
+
+def test_c_limit_raises_before_allocating():
+    # 2^40 states would need terabytes; the limit must refuse first
+    assert stategraph.C_LIMIT == 28
+    with pytest.raises(CapExceededError) as err:
+        build_state_graph(GeneratorSet([1, 40]), c_max=40)
+    assert "c=40" in str(err.value) and "28" in str(err.value)
 
 
 def test_eds_exists_cap_and_empty():
