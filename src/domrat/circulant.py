@@ -130,12 +130,11 @@ def domination_number(inst: CirculantInstance,
     full = (1 << n) - 1
 
     lower = -(-n // per_vertex)  # ceil
-    gamma = None
-    for k in range(max(lower, 1), n + 1):
-        if _exists_cover(full & ~cover[0], k - 1, cover, doms, per_vertex):
-            gamma = k
+    for gamma in range(max(lower, 1), n + 1):
+        if _exists_cover(full & ~cover[0], gamma - 1, cover, doms, per_vertex):
             break
-    assert gamma is not None  # k = n always works
+    else:  # k = n always works
+        raise AssertionError(f"no dominating set of size <= {n} found")
 
     # grow the witness smallest-vertex-first; each prefix must keep a
     # feasible completion among strictly larger vertices

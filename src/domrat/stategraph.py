@@ -29,8 +29,10 @@ strictly better cycle from its predecessor pointers.  Each pass packs
 subset-minimum transform carries both the minimum and its argmin.  Those
 pointer cycles are found by pointer doubling over all 2^c states at once,
 labelling each cycle by its smallest state; the doubling stops as soon as
-a squaring moves no pointer.  All arithmetic is integer/Fraction; no
-floating point anywhere.
+a squaring moves no pointer.  Each test after the first starts its values
+on the cycle the previous test found, not at zero: that reaches the same
+fixpoint, often in far fewer rounds.  All arithmetic is integer/Fraction;
+no floating point anywhere.
 
 Sets dominating every integer exactly once use the same masks.  A pair
 covers each window position exactly once iff neither side covers any
@@ -97,13 +99,6 @@ class StateGraph:
         self.uncovered = uncovered
         self.covers = covers
         self.weights = weights
-
-    @property
-    def full_state(self) -> int:
-        return self.n_states - 1
-
-    def states(self) -> range:
-        return range(self.n_states)
 
 
 def _shift(line: np.ndarray, step: int) -> np.ndarray:
@@ -177,14 +172,16 @@ class _ThresholdResult:
     converged: bool
     y: np.ndarray | None = None
     mean: Fraction | None = None
+    cycle: list[int] | None = None  # a cycle of that mean, in edge order
 
 
 def _scan_pred_cycles(pred: np.ndarray, improved: np.ndarray,
                       weights: np.ndarray, mu: Fraction, idx: np.ndarray,
                       nxt: np.ndarray, lo: np.ndarray,
-                      spare: np.ndarray) -> Fraction | None:
+                      spare: np.ndarray) -> tuple[Fraction, int] | None:
     """Smallest mean below mu among the predecessor-pointer cycles that the
-    pointer walks from the improved nodes run into, or None.
+    pointer walks from the improved nodes run into, with the smallest node
+    of one such cycle; or None.
 
     Predecessor edges are real graph edges, so any pointer cycle is a real
     cycle; pointers are only (re)assigned on strict improvement, which makes
@@ -236,7 +233,8 @@ def _scan_pred_cycles(pred: np.ndarray, improved: np.ndarray,
     mark.fill(False)
     mark[reach] = True
     labels = np.flatnonzero(mark[:n])
-    found = stats[labels[pred[labels] >= 0]]  # drop the stand-in self-loops
+    labels = labels[pred[labels] >= 0]  # drop the stand-in self-loops
+    found = stats[labels]
 
     # smallest total per cycle length; disjoint cycles have fewer than
     # sqrt(2n) distinct lengths, so few Fractions are built
@@ -248,13 +246,15 @@ def _scan_pred_cycles(pred: np.ndarray, improved: np.ndarray,
     for i in np.flatnonzero(by_length <= low).tolist():
         mean = Fraction(int(by_length[i]), i + 1)
         if mean < mu and (best is None or mean < best):
-            best = mean
-    return best
+            best, key = mean, ((i + 1) << shift) + int(by_length[i])
+    if best is None:
+        return None
+    return best, int(labels[np.argmax(found == key)])
 
 
 def _test_threshold(uncovered: np.ndarray, covers: np.ndarray,
-                    weights: np.ndarray, n: int, c: int,
-                    mu: Fraction) -> _ThresholdResult:
+                    weights: np.ndarray, n: int, c: int, mu: Fraction,
+                    seed: list[int] | None = None) -> _ThresholdResult:
     """Decide whether some cycle has mean < mu.
 
     Runs value iteration y(v) <- min(y(v), q*w(v) - p + min over consistent
@@ -262,10 +262,19 @@ def _test_threshold(uncovered: np.ndarray, covers: np.ndarray,
     transform keyed by the uncovered masks.  Convergence certifies that no
     cycle beats mu; otherwise a strictly better cycle is found in the
     predecessor pointers (guaranteed to exist by round n+1).
+
+    y starts at 0, except on `seed`, a cycle of mean exactly mu in edge
+    order: there y(v) is the weight of the stretch of the cycle from its
+    highest prefix sum to v.  That is the weight of a real walk ending at
+    v, so y starts between the fixpoint and 0 and iterates to the same
+    potentials, usually in fewer rounds.
     """
     p, q = np.int64(mu.numerator), np.int64(mu.denominator)
     wq = q * weights - p
     y = np.zeros(n, dtype=np.int64)
+    if seed is not None:
+        phi = np.cumsum(wq[seed])  # closes at 0: the cycle's mean is mu
+        y[seed] = phi - phi.max()
     pred = np.full(n, -1, dtype=np.int64)
     idx = np.arange(n, dtype=np.int64)
     t = np.empty(n, dtype=np.int64)
@@ -275,9 +284,10 @@ def _test_threshold(uncovered: np.ndarray, covers: np.ndarray,
         base = y.min()
         span = (int(y.max()) - int(base) + 1) * n
         if span >= int(_INF):
-            # mu = p/q has q <= n (a cycle length, or 1) and p <= (c+1)q, each
+            # mu = p/q has q <= n (a cycle length, or 1) and p <= (c+1)q, y
+            # stays <= 0, the seed starts at most L*p <= n*p below 0, each
             # round lowers min y by at most p, and the check sees at most n
-            # rounds, so span <= (c+1)n^3 + n < 2^61 for c <= 18
+            # rounds, so span <= 2(c+1)n^3 + n < 2^61 for c <= 18
             raise CapExceededError("packed (value, node) span", span, int(_INF))
         # pack (value, node) so one transform yields min value and its argmin;
         # n == 1 << c, so the node is the low c bits.  This loop sets the
@@ -303,9 +313,13 @@ def _test_threshold(uncovered: np.ndarray, covers: np.ndarray,
         np.copyto(y, cand, where=improved)
         if rnd & (rnd - 1) == 0 or rnd == n + 1:
             # t, gval and cand are dead until the next round: scan scratch
-            mean = _scan_pred_cycles(pred, improved, weights, mu, idx, t, gval, cand)
-            if mean is not None:
-                return _ThresholdResult(converged=False, mean=mean)
+            found = _scan_pred_cycles(pred, improved, weights, mu, idx, t, gval, cand)
+            if found is not None:
+                mean, node = found
+                cycle = [node]  # pred points backwards along the cycle
+                while (v := int(pred[cycle[-1]])) != node:
+                    cycle.append(v)
+                return _ThresholdResult(converged=False, mean=mean, cycle=cycle[::-1])
             if rnd == n + 1:
                 raise AssertionError("value iteration passed round n+1 without a cycle")
     raise AssertionError("unreachable")
@@ -397,7 +411,7 @@ def _canonical_cycle(uncovered, covers, weights, n, c, mu: Fraction,
     seq = [best_start]
     for r in range(best_len - 1, 0, -1):
         seq.append(next(j for j in successors(seq[-1]) if best_dist.get(j) == r))
-    return tuple(int(nodes[i]) for i in seq)
+    return tuple(nodes[seq].tolist())
 
 
 def min_mean_cycle(g: StateGraph) -> tuple[Fraction, tuple[int, ...]]:
@@ -405,16 +419,17 @@ def min_mean_cycle(g: StateGraph) -> tuple[Fraction, tuple[int, ...]]:
 
     Edge weight into a state is that state's population count.  Candidate
     means decrease strictly (each is achieved by an explicit cycle) until a
-    convergence certificate shows no cycle beats the last one.
+    convergence certificate shows no cycle beats the last one.  Each test
+    after the first starts from the cycle the previous test found.
     """
     n, c = g.n_states, g.c
     mu = Fraction(c + 1)  # above any cycle mean, so the first test finds a cycle
-    result = None
+    seed = None
     while True:
-        result = _test_threshold(g.uncovered, g.covers, g.weights, n, c, mu)
+        result = _test_threshold(g.uncovered, g.covers, g.weights, n, c, mu, seed)
         if result.converged:
             break
-        mu = result.mean
+        mu, seed = result.mean, result.cycle
     if mu == Fraction(c + 1):
         raise InputError("state graph has no cycle")
     cycle = _canonical_cycle(g.uncovered, g.covers, g.weights, n, c, mu, result.y)

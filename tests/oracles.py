@@ -11,6 +11,14 @@ import numpy as np
 from domrat.errors import InputError
 
 
+def states(g):
+    return range(g.n_states)
+
+
+def full_state(g):
+    return g.n_states - 1
+
+
 def successors(g, t):
     """States t may be followed by, ascending: uncovered[t] within covers."""
     u = g.uncovered[t]
@@ -58,9 +66,9 @@ def karp_min_mean(g):
     """Exact minimum cycle mean by the classic walk-length recurrence,
     rooted at the full state (which reaches everything)."""
     n = g.n_states
-    succ = {u: successors(g, u) for u in g.states()}
+    succ = {u: successors(g, u) for u in states(g)}
     d = [[None] * n for _ in range(n + 1)]
-    d[0][g.full_state] = 0
+    d[0][full_state(g)] = 0
     for k in range(1, n + 1):
         dk, dk1 = d[k], d[k - 1]
         for u in range(n):
@@ -118,7 +126,7 @@ def brute_canonical_cycle(g, mu):
     paths, so it never cuts a real solution).
     """
     n, c = g.n_states, g.c
-    succ = {u: successors(g, u) for u in g.states()}
+    succ = {u: successors(g, u) for u in states(g)}
     for length in range(1, n + 1):
         target = mu * length
         if target.denominator != 1:
@@ -186,7 +194,7 @@ def _search_from(g, succ, start, length, target):
 
 def all_transitions_naive(g, is_transition, s):
     """Edge set recomputed pairwise from the direct window definition."""
-    return {(t, u) for t in g.states() for u in g.states()
+    return {(t, u) for t in states(g) for u in states(g)
             if is_transition(t, u, s)}
 
 

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -123,3 +127,21 @@ def test_period_identity_with_engine():
         cert = domination_ratio(s)
         gamma, _ = domination_number(residues(s, cert.period), n_max=45)
         assert gamma == cert.ratio * cert.period
+
+
+def test_search_failure_raises_under_optimize_flag():
+    # k = n always dominates, so a search finding nothing is an internal
+    # error; it must say so under python -O too, not fail later on None
+    code = """
+from domrat import circulant
+circulant._exists_cover = lambda *args: False
+try:
+    circulant.domination_number(circulant.CirculantInstance(5, [1]))
+except AssertionError as err:
+    print("raised", err)
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.startswith("raised"), out.stderr

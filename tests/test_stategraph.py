@@ -30,10 +30,12 @@ from oracles import (
     brute_canonical_cycle,
     brute_small_period_exact_cover,
     exact_transitions_naive,
+    full_state,
     is_edge,
     is_transition,
     karp_min_mean,
     pred_cycle_mean_naive,
+    states,
     submask_min_naive,
     successors,
     supermask_max_naive,
@@ -72,21 +74,21 @@ def test_graph_edges_match_naive_definition(els):
     s = GeneratorSet(els)
     g = build_state_graph(s)
     naive = all_transitions_naive(g, is_transition, s)
-    implicit = {(t, u) for t in g.states() for u in successors(g, t)}
+    implicit = {(t, u) for t in states(g) for u in successors(g, t)}
     assert implicit == naive
-    for t in g.states():
-        for u in g.states():
+    for t in states(g):
+        for u in states(g):
             assert is_edge(g, t, u) == ((t, u) in naive)
 
 
 def test_build_graph_examples():
     g = build_state_graph(GeneratorSet([1, 2]))
     assert g.n_states == 4
-    assert 0 in successors(g, g.full_state)  # full may be followed by empty
+    assert 0 in successors(g, full_state(g))  # full may be followed by empty
 
     g1 = build_state_graph(GeneratorSet([1]))
     assert g1.n_states == 2
-    edges = {(t, u) for t in g1.states() for u in successors(g1, t)}
+    edges = {(t, u) for t in states(g1) for u in successors(g1, t)}
     assert edges == {(1, 1), (1, 0), (0, 1)}
 
     with pytest.raises(InputError):
@@ -110,17 +112,18 @@ def test_min_mean_cycle_examples():
     assert cycle == (0, 1)
 
 
-def test_min_mean_cycle_self_loop_fixture():
+def _self_loop_graph():
     # doctored graph: every state points only at the full state, so the
-    # unique cycle is the full-state self-loop of mean c
-    s = GeneratorSet([1, 2])
-    c, n = 2, 4
-    uncovered = np.full(n, 3, dtype=np.int64)
+    # unique cycle is the full-state self-loop of mean c = 2
+    uncovered = np.full(4, 3, dtype=np.int64)
     covers = np.array([0, 0, 0, 3], dtype=np.int64)
     weights = np.array([0, 1, 1, 2], dtype=np.int64)
-    g = StateGraph(s, c, uncovered, covers, weights)
-    mean, cycle = min_mean_cycle(g)
-    assert mean == Fraction(c)
+    return StateGraph(GeneratorSet([1, 2]), 2, uncovered, covers, weights)
+
+
+def test_min_mean_cycle_self_loop_fixture():
+    mean, cycle = min_mean_cycle(_self_loop_graph())
+    assert mean == Fraction(2)
     assert cycle == (3,)
 
 
@@ -173,12 +176,36 @@ _SCAN_FIXTURES = [
 ]
 
 
+def _pointer_cycle_mean(pred, weights, node):
+    """Mean of the pointer cycle through node, or None if the pointer walk
+    from node never returns to it."""
+    cycle, v = [node], int(pred[node])
+    while v >= 0 and v != node and len(cycle) <= len(pred):
+        cycle.append(v)
+        v = int(pred[v])
+    if v != node:
+        return None
+    return Fraction(sum(int(weights[x]) for x in cycle), len(cycle))
+
+
+def _check_scan(pred, improved, weights, mu, want):
+    """The scan returns the smallest mean and a node on a pointer cycle of
+    exactly that mean."""
+    got = _scan(pred, improved, weights, mu)
+    if want is None:
+        assert got is None
+        return
+    mean, node = got
+    assert mean == want
+    assert _pointer_cycle_mean(pred, weights, node) == want
+
+
 @pytest.mark.parametrize("pred,starts,weights,mu,want", _SCAN_FIXTURES)
 def test_pred_cycle_scan_fixtures(pred, starts, weights, mu, want):
     improved = np.zeros(len(pred), dtype=bool)
     improved[starts] = True
     assert pred_cycle_mean_naive(pred, improved, weights, mu) == want
-    assert _scan(pred, improved, weights, mu) == want
+    _check_scan(pred, improved, weights, mu, want)
 
 
 def test_pred_cycle_scan_matches_naive_walk():
@@ -191,7 +218,49 @@ def test_pred_cycle_scan_matches_naive_walk():
         weights = rng.integers(0, 4, n)
         mu = Fraction(int(rng.integers(1, 20)), int(rng.integers(1, 6)))
         want = pred_cycle_mean_naive(pred, improved, weights, mu)
-        assert _scan(pred, improved, weights, mu) == want, (pred, improved, weights, mu)
+        _check_scan(pred, improved, weights, mu, want)
+
+
+def _threshold_schedule(g):
+    """min_mean_cycle's schedule, checking each cycle a test returns: the
+    final mu and the cycle the last non-certifying test found."""
+    mu, cycle = Fraction(g.c + 1), None
+    while True:
+        r = stategraph._test_threshold(g.uncovered, g.covers, g.weights,
+                                       g.n_states, g.c, mu, cycle)
+        if r.converged:
+            return mu, cycle
+        assert all(is_edge(g, u, v) for u, v in zip(r.cycle, r.cycle[1:] + r.cycle[:1]))
+        assert Fraction(int(g.weights[r.cycle].sum()), len(r.cycle)) == r.mean < mu
+        mu, cycle = r.mean, r.cycle
+
+
+def _assert_seeded_matches_unseeded(g):
+    mu, found = _threshold_schedule(g)
+    args = (g.uncovered, g.covers, g.weights, g.n_states, g.c, mu)
+    plain = stategraph._test_threshold(*args)
+    assert plain.converged
+    for seed in (found, list(min_mean_cycle(g)[1])):
+        seeded = stategraph._test_threshold(*args, seed)
+        assert seeded.converged and np.array_equal(seeded.y, plain.y)
+
+
+def test_seeded_threshold_matches_unseeded():
+    # the certifying test's potentials must not depend on the seed, since
+    # the canonical cycle is read off them
+    pool = [x for x in range(-6, 7) if x]
+    sets = [GeneratorSet(els) for k in (1, 2, 3) for els in combinations(pool, k)]
+    sets = [s for s in sets if s.c <= 10]
+    sets += [GeneratorSet([1, -11]), GeneratorSet([2, -5, 7])]
+    for s in sets:
+        _assert_seeded_matches_unseeded(build_state_graph(s, c_max=12))
+
+
+def test_seeded_threshold_self_loop_fixture():
+    # the first test finds the full-state self-loop (L = 1) and seeds the second
+    g = _self_loop_graph()
+    assert _threshold_schedule(g) == (Fraction(2), [3])
+    _assert_seeded_matches_unseeded(g)
 
 
 @pytest.mark.parametrize("c", range(1, 15))
