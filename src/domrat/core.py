@@ -9,7 +9,6 @@ periodic subsets of Z.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -54,9 +53,6 @@ class GeneratorSet:
     def negate(self) -> "GeneratorSet":
         return GeneratorSet(-x for x in self.elements)
 
-    def scale(self, d: int) -> "GeneratorSet":
-        return GeneratorSet(d * x for x in self.elements)
-
     def __iter__(self) -> Iterator[int]:
         return iter(self.elements)
 
@@ -96,19 +92,6 @@ class PeriodicSet:
     @property
     def density(self) -> Fraction:
         return Fraction(len(self.residues), self.period)
-
-    def translate(self, k: int) -> "PeriodicSet":
-        """Shift the whole set by k (residues move cyclically)."""
-        p = self.period
-        return PeriodicSet(p, ((r - 1 + k) % p + 1 for r in self.residues))
-
-    def same_set_as(self, other: "PeriodicSet") -> bool:
-        """True when both describe the same subset of Z.
-
-        Periods may differ (one can be a multiple of the other's true period).
-        """
-        q = math.lcm(self.period, other.period)
-        return all((j in self) == (j in other) for j in range(1, q + 1))
 
     def sorted_residues(self) -> tuple[int, ...]:
         return tuple(sorted(self.residues))

@@ -31,8 +31,11 @@ pointer cycles are found by pointer doubling over all 2^c states at once,
 labelling each cycle by its smallest state; the doubling stops as soon as
 a squaring moves no pointer.  Each test after the first starts its values
 on the cycle the previous test found, not at zero: that reaches the same
-fixpoint, often in far fewer rounds.  All arithmetic is integer/Fraction;
-no floating point anywhere.
+fixpoint, often in far fewer rounds.  Once a round improves only a few
+states, later rounds keep the transform and lower it just at the supermasks
+of those states' masks, re-evaluating only the states whose predecessor
+minimum fell.  All arithmetic is integer/Fraction; no floating point
+anywhere.
 
 Sets dominating every integer exactly once use the same masks.  A pair
 covers each window position exactly once iff neither side covers any
@@ -166,6 +169,17 @@ def _subset_transform(t: np.ndarray, c: int, ufunc: np.ufunc) -> None:
 
 _INF = np.int64(1) << np.int64(61)
 
+# A threshold round is sparse (see _test_threshold) when n is at least
+# _SPARSE_MIN_STATES and the masks of the states the last round improved
+# have fewer than n / _SPARSE_SHARE supermasks in all.  A sparse round makes
+# some 10c small numpy calls whatever n is: on the certifying tests of
+# {1,c}, {-1,c-1} and {1,2,2-c} it lost 40-150 us a round to a full round
+# at c = 9..12, broke even at c = 13 and won from c = 14 (6 ms a round at
+# c = 18).  The share caps the supermasks a sparse round can enumerate;
+# any share from 1 to 64 timed the same on the c = 16..18 sets.
+_SPARSE_MIN_STATES = 1 << 14
+_SPARSE_SHARE = 8
+
 
 @dataclass
 class _ThresholdResult:
@@ -252,6 +266,35 @@ def _scan_pred_cycles(pred: np.ndarray, improved: np.ndarray,
     return best, int(labels[np.argmax(found == key)])
 
 
+def _lower_supermasks(t: np.ndarray, masks: np.ndarray, keys: np.ndarray,
+                      c: int) -> np.ndarray:
+    """In place: t[m] becomes min(t[m], key) for every supermask m of each
+    (mask, key) pair; returns the masks where t fell, with repeats.
+
+    t must already be a subset-minimum transform, so t[m'] <= t[m] for every
+    supermask m' of m: a key not below t[m] lowers no supermask of m either.
+    Each pair's supermasks are enumerated one bit at a time, in ascending bit
+    order, so each is reached through a chain of its own submasks and the
+    enumeration can drop a pair wherever it stops lowering t.
+    """
+    keep = keys < t[masks]
+    masks, keys = masks[keep], keys[keep]
+    for i in range(c):
+        up = (masks & (1 << i)) == 0
+        up_masks = masks[up] | (1 << i)
+        up_keys = keys[up]
+        keep = up_keys < t[up_masks]
+        masks = np.concatenate((masks, up_masks[keep]))
+        keys = np.concatenate((keys, up_keys[keep]))
+    np.minimum.at(t, masks, keys)
+    return masks
+
+
+def _supermask_count(masks: np.ndarray, c: int) -> int:
+    """Number of c-bit supermasks of the given masks, with repeats."""
+    return int(np.left_shift(1, c - np.bitwise_count(masks).astype(np.int64)).sum())
+
+
 def _test_threshold(uncovered: np.ndarray, covers: np.ndarray,
                     weights: np.ndarray, n: int, c: int, mu: Fraction,
                     seed: list[int] | None = None) -> _ThresholdResult:
@@ -268,6 +311,12 @@ def _test_threshold(uncovered: np.ndarray, covers: np.ndarray,
     highest prefix sum to v.  That is the weight of a real walk ending at
     v, so y starts between the fixpoint and 0 and iterates to the same
     potentials, usually in fewer rounds.
+
+    Once few states improve per round (see _SPARSE_MIN_STATES), the
+    transform is kept from round to round instead of rebuilt: values only
+    fall, so only the supermasks of the improved states' masks can fall,
+    and only states whose covers mask fell can improve.  Those sparse
+    rounds give the same y and pred as full rounds, ties included.
     """
     p, q = np.int64(mu.numerator), np.int64(mu.denominator)
     wq = q * weights - p
@@ -280,6 +329,7 @@ def _test_threshold(uncovered: np.ndarray, covers: np.ndarray,
     t = np.empty(n, dtype=np.int64)
     gval = np.empty(n, dtype=np.int64)
     cand = np.empty(n, dtype=np.int64)
+    tbase = None  # the base of t's keys while t is kept for a sparse round
     for rnd in range(1, n + 2):
         base = y.min()
         span = (int(y.max()) - int(base) + 1) * n
@@ -289,31 +339,65 @@ def _test_threshold(uncovered: np.ndarray, covers: np.ndarray,
             # round lowers min y by at most p, and the check sees at most n
             # rounds, so span <= 2(c+1)n^3 + n < 2^61 for c <= 18
             raise CapExceededError("packed (value, node) span", span, int(_INF))
-        # pack (value, node) so one transform yields min value and its argmin;
-        # n == 1 << c, so the node is the low c bits.  This loop sets the
-        # engine's peak memory, hence the in-place updates and freeing
-        # `packed` before the next temporaries
-        packed = y - base
-        packed <<= c
-        packed |= idx
-        t.fill(_INF)
-        np.minimum.at(t, uncovered, packed)
-        del packed
-        _subset_transform(t, c, np.minimum)
-        np.take(t, covers, out=gval, mode="clip")
-        np.right_shift(gval, c, out=cand)
-        cand += base
-        cand += wq
-        cand[gval >= _INF] = _INF
-        improved = cand < y
-        if not improved.any():
-            return _ThresholdResult(converged=True, y=y)
-        np.bitwise_and(gval, n - 1, out=t)
-        np.copyto(pred, t, where=improved)
-        np.copyto(y, cand, where=improved)
+        if tbase is None:
+            # pack (value, node) so one transform yields min value and its
+            # argmin; n == 1 << c, so the node is the low c bits.  This loop
+            # sets the engine's peak memory, hence the in-place updates and
+            # freeing `packed` before the next temporaries
+            packed = y - base
+            packed <<= c
+            packed |= idx
+            t.fill(_INF)
+            np.minimum.at(t, uncovered, packed)
+            del packed
+            _subset_transform(t, c, np.minimum)
+            np.take(t, covers, out=gval, mode="clip")
+            np.right_shift(gval, c, out=cand)
+            cand += base
+            cand += wq
+            cand[gval >= _INF] = _INF
+            improved = cand < y
+            if not improved.any():
+                return _ThresholdResult(converged=True, y=y)
+            np.copyto(y, cand, where=improved)
+            np.bitwise_and(gval, n - 1, out=cand)
+            np.copyto(pred, cand, where=improved)
+            front = None
+            if (n >= _SPARSE_MIN_STATES
+                    and np.count_nonzero(improved) * _SPARSE_SHARE < n):
+                front = np.flatnonzero(improved)
+        else:
+            if base < tbase:  # rebase t's keys on the new minimum
+                np.add(t, (tbase - base) << c, out=t, where=t < _INF)
+            keys = y[front] - base
+            keys <<= c
+            keys |= front
+            fell = np.zeros(n, dtype=bool)
+            fell[_lower_supermasks(t, uncovered[front], keys, c)] = True
+            front = np.flatnonzero(fell[covers])
+            del fell
+            best = t[covers[front]]
+            val = (best >> c) + base + wq[front]
+            better = val < y[front]
+            front = front[better]
+            if not front.size:
+                return _ThresholdResult(converged=True, y=y)
+            y[front] = val[better]
+            pred[front] = best[better] & (n - 1)
+        if (front is not None and front.size * _SPARSE_SHARE < n
+                and _supermask_count(uncovered[front], c) * _SPARSE_SHARE < n):
+            tbase = base  # keep t: the next round is sparse
+        else:
+            tbase = front = None
         if rnd & (rnd - 1) == 0 or rnd == n + 1:
-            # t, gval and cand are dead until the next round: scan scratch
-            found = _scan_pred_cycles(pred, improved, weights, mu, idx, t, gval, cand)
+            if tbase is None:
+                spare = t  # dead until the next round
+            else:  # t is kept, so scan in a fresh array instead
+                improved = np.zeros(n, dtype=bool)
+                improved[front] = True
+                spare = np.empty(n, dtype=np.int64)
+            found = _scan_pred_cycles(pred, improved, weights, mu, idx, gval, cand, spare)
+            del spare
             if found is not None:
                 mean, node = found
                 cycle = [node]  # pred points backwards along the cycle

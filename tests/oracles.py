@@ -4,11 +4,31 @@ These deliberately share no code with the engine: the cycle mean comes from
 a dynamic program over walk lengths, and the canonical cycle from plain
 depth-first enumeration."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
+from domrat.core import GeneratorSet, PeriodicSet
 from domrat.errors import InputError
+
+
+def scale(s, d):
+    """The generator set {d*x : x in s}."""
+    return GeneratorSet(d * x for x in s)
+
+
+def translate(u, k):
+    """The periodic set u shifted by k (residues move cyclically)."""
+    p = u.period
+    return PeriodicSet(p, ((r - 1 + k) % p + 1 for r in u.residues))
+
+
+def same_set_as(u, v):
+    """Whether two periodic sets describe the same subset of Z; the periods
+    may differ (one can be a multiple of the other's true period)."""
+    q = math.lcm(u.period, v.period)
+    return all((j in u) == (j in v) for j in range(1, q + 1))
 
 
 def states(g):
@@ -88,6 +108,28 @@ def karp_min_mean(g):
         if best is None or m < best:
             best = m
     return best
+
+
+def value_iteration_naive(g, mu):
+    """Potentials after each round of y(v) <- min(y(v), q*w(v) - p + min
+    over predecessors u of y(u)) from y = 0, edge by edge: y after round 0,
+    1, ... up to the first round that changes nothing, or n + 1 rounds."""
+    p, q = mu.numerator, mu.denominator
+    n = g.n_states
+    preds = [[] for _ in range(n)]
+    for u in states(g):
+        for v in successors(g, u):
+            preds[v].append(u)
+    y = [0] * n
+    history = [y]
+    for _ in range(n + 1):
+        new = [min([y[v]] + [y[u] + q * weight(g, v) - p for u in preds[v]])
+               for v in range(n)]
+        if new == y:
+            break
+        y = new
+        history.append(y)
+    return history
 
 
 def pred_cycle_mean_naive(pred, improved, weights, mu):

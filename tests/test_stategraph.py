@@ -35,10 +35,13 @@ from oracles import (
     is_transition,
     karp_min_mean,
     pred_cycle_mean_naive,
+    same_set_as,
+    scale,
     states,
     submask_min_naive,
     successors,
     supermask_max_naive,
+    value_iteration_naive,
 )
 
 
@@ -221,18 +224,23 @@ def test_pred_cycle_scan_matches_naive_walk():
         _check_scan(pred, improved, weights, mu, want)
 
 
-def _threshold_schedule(g):
-    """min_mean_cycle's schedule, checking each cycle a test returns: the
-    final mu and the cycle the last non-certifying test found."""
-    mu, cycle = Fraction(g.c + 1), None
+def _threshold_calls(g):
+    """min_mean_cycle's schedule as the (mu, seed) of each threshold test,
+    checking each cycle a test returns; the last test certifies."""
+    calls = [(Fraction(g.c + 1), None)]
     while True:
         r = stategraph._test_threshold(g.uncovered, g.covers, g.weights,
-                                       g.n_states, g.c, mu, cycle)
+                                       g.n_states, g.c, *calls[-1])
         if r.converged:
-            return mu, cycle
+            return calls
         assert all(is_edge(g, u, v) for u, v in zip(r.cycle, r.cycle[1:] + r.cycle[:1]))
-        assert Fraction(int(g.weights[r.cycle].sum()), len(r.cycle)) == r.mean < mu
-        mu, cycle = r.mean, r.cycle
+        assert Fraction(int(g.weights[r.cycle].sum()), len(r.cycle)) == r.mean < calls[-1][0]
+        calls.append((r.mean, r.cycle))
+
+
+def _threshold_schedule(g):
+    """The final mu and the cycle the last non-certifying test found."""
+    return _threshold_calls(g)[-1]
 
 
 def _assert_seeded_matches_unseeded(g):
@@ -245,14 +253,17 @@ def _assert_seeded_matches_unseeded(g):
         assert seeded.converged and np.array_equal(seeded.y, plain.y)
 
 
+# sets of size 1-3 from +-6 with c <= 10, and two with c = 12
+_SMALL_SETS = [GeneratorSet(els) for k in (1, 2, 3)
+               for els in combinations([x for x in range(-6, 7) if x], k)]
+_SMALL_SETS = [s for s in _SMALL_SETS if s.c <= 10]
+_SMALL_SETS += [GeneratorSet([1, -11]), GeneratorSet([2, -5, 7])]
+
+
 def test_seeded_threshold_matches_unseeded():
     # the certifying test's potentials must not depend on the seed, since
     # the canonical cycle is read off them
-    pool = [x for x in range(-6, 7) if x]
-    sets = [GeneratorSet(els) for k in (1, 2, 3) for els in combinations(pool, k)]
-    sets = [s for s in sets if s.c <= 10]
-    sets += [GeneratorSet([1, -11]), GeneratorSet([2, -5, 7])]
-    for s in sets:
+    for s in _SMALL_SETS:
         _assert_seeded_matches_unseeded(build_state_graph(s, c_max=12))
 
 
@@ -261,6 +272,148 @@ def test_seeded_threshold_self_loop_fixture():
     g = _self_loop_graph()
     assert _threshold_schedule(g) == (Fraction(2), [3])
     _assert_seeded_matches_unseeded(g)
+
+
+# the sparse-tail switch as (_SPARSE_MIN_STATES, _SPARSE_SHARE): as shipped,
+# every round after the first, and never
+_TAIL_DEFAULT = (stategraph._SPARSE_MIN_STATES, stategraph._SPARSE_SHARE)
+_TAIL_FORCED = (1, 0)
+_TAIL_OFF = (1 << 62, 1)
+
+
+def _set_tail(monkeypatch, rule):
+    monkeypatch.setattr(stategraph, "_SPARSE_MIN_STATES", rule[0])
+    monkeypatch.setattr(stategraph, "_SPARSE_SHARE", rule[1])
+
+
+@pytest.fixture
+def sparse_rounds(monkeypatch):
+    """The sparse threshold rounds run during the test, one entry each."""
+    rounds = []
+    lower = stategraph._lower_supermasks
+
+    def counted(*args):
+        rounds.append(1)
+        return lower(*args)
+
+    monkeypatch.setattr(stategraph, "_lower_supermasks", counted)
+    return rounds
+
+
+def _compare_tail(monkeypatch, g, calls, tail=_TAIL_FORCED):
+    """Each threshold test (mu, seed) in calls returns the same with the
+    sparse tail switched by `tail` as with it off."""
+    args = (g.uncovered, g.covers, g.weights, g.n_states, g.c)
+    for mu, seed in calls:
+        _set_tail(monkeypatch, tail)
+        on = stategraph._test_threshold(*args, mu, seed)
+        _set_tail(monkeypatch, _TAIL_OFF)
+        off = stategraph._test_threshold(*args, mu, seed)
+        assert (on.converged, on.mean, on.cycle) == (off.converged, off.mean, off.cycle)
+        assert (on.y is None) == (off.y is None)
+        assert off.y is None or np.array_equal(on.y, off.y)
+
+
+def _schedule_and_unseeded(g):
+    calls = _threshold_calls(g)
+    return calls + [(calls[-1][0], None)]
+
+
+@pytest.mark.parametrize("c", range(1, 11))
+def test_lower_supermasks_matches_transform(c):
+    # lowering a transform at the supermasks of some (mask, key) pairs is
+    # the transform of the raw minima lowered at those masks
+    rng = np.random.default_rng(100 + c)
+    n = 1 << c
+    raw = rng.integers(0, 1 << 40, n)
+    raw[rng.random(n) < 0.3] = stategraph._INF
+    t = raw.copy()
+    stategraph._subset_transform(t, c, np.minimum)
+    masks = rng.integers(0, n, int(rng.integers(0, 2 * n)))
+    keys = rng.integers(0, 1 << 40, len(masks))
+    np.minimum.at(raw, masks, keys)
+    want = raw.copy()
+    stategraph._subset_transform(want, c, np.minimum)
+    before = t.copy()
+    fell = stategraph._lower_supermasks(t, masks, keys, c)
+    assert np.array_equal(t, want)
+    assert set(fell.tolist()) == set(np.flatnonzero(want < before).tolist())
+
+
+def test_sparse_tail_matches_dense_small_c(monkeypatch, sparse_rounds):
+    # every round after the first sparse, against none: every test of the
+    # schedule, and the certifying test unseeded
+    # {1,12}'s certifying test runs 26 rounds
+    for s in _SMALL_SETS + [GeneratorSet([1, 12])]:
+        g = build_state_graph(s, c_max=12)
+        _compare_tail(monkeypatch, g, _schedule_and_unseeded(g))
+    assert len(sparse_rounds) > 1000
+
+
+@pytest.mark.parametrize("els", [[1, 16], [1, 18], [-1, 17]])
+def test_sparse_tail_matches_dense_wide(monkeypatch, sparse_rounds, els):
+    # the shipped rule, against the tail off, where the benchmark runs it
+    g = build_state_graph(GeneratorSet(els), c_max=18)
+    _compare_tail(monkeypatch, g, _schedule_and_unseeded(g), _TAIL_DEFAULT)
+    assert sparse_rounds
+
+
+# {1,-2} at mu = 121/100, unseeded: y's minimum falls in round 1 and again
+# in round 6, and the test runs 8 rounds before its scan finds a cycle
+_FIXTURE = (GeneratorSet([1, -2]), Fraction(121, 100))
+
+
+def test_sparse_tail_rebase_fixture(monkeypatch, sparse_rounds):
+    # with the tail forced, round 7 is sparse and must rebase the kept keys
+    s, mu = _FIXTURE
+    g = build_state_graph(s)
+    minima = [min(y) for y in value_iteration_naive(g, mu)]
+    assert minima[6] < minima[5] == minima[1] < minima[0]
+    _compare_tail(monkeypatch, g, [(mu, None)])
+    assert len(sparse_rounds) == 7  # rounds 2-8
+
+
+def test_sparse_tail_span_guard_fixture(monkeypatch, sparse_rounds):
+    # the sentinel shrunk to the span round 7 checks (after the fall in
+    # round 6), above every earlier span: a sparse round 7 must raise
+    s, mu = _FIXTURE
+    g = build_state_graph(s)
+    spans = [(max(y) - min(y) + 1) * g.n_states for y in value_iteration_naive(g, mu)]
+    assert max(spans[:6]) < spans[6]
+    monkeypatch.setattr(stategraph, "_INF", np.int64(spans[6]))
+    for tail in (_TAIL_FORCED, _TAIL_OFF):
+        _set_tail(monkeypatch, tail)
+        with pytest.raises(CapExceededError):
+            stategraph._test_threshold(g.uncovered, g.covers, g.weights,
+                                       g.n_states, g.c, mu)
+    assert len(sparse_rounds) == 5  # rounds 2-6, with the tail forced
+
+
+def test_sparse_tail_converges_in_sparse_round(monkeypatch, sparse_rounds):
+    # {1,-2}'s certifying test unseeded changes y in rounds 1-4 only, so
+    # with the tail forced round 5 is sparse and detects convergence
+    g = build_state_graph(GeneratorSet([1, -2]))
+    mu = min_mean_cycle(g)[0]
+    assert len(value_iteration_naive(g, mu)) == 5
+    _compare_tail(monkeypatch, g, [(mu, None)])
+    assert len(sparse_rounds) == 4  # rounds 2-5
+
+
+def test_sparse_tail_transform_count(monkeypatch):
+    # a count, not a timing: {1,18}'s certifying test runs 38 rounds, so
+    # with every round dense min_mean_cycle runs 49 transforms (1 + 38
+    # rounds, 10 in _cycle_nodes); the tail leaves 16
+    calls = []
+    transform = stategraph._subset_transform
+
+    def counted(*args):
+        calls.append(1)
+        return transform(*args)
+
+    monkeypatch.setattr(stategraph, "_subset_transform", counted)
+    g = build_state_graph(GeneratorSet([1, 18]), c_max=18)
+    assert min_mean_cycle(g)[0] == Fraction(216, 35)
+    assert len(calls) <= 20
 
 
 @pytest.mark.parametrize("c", range(1, 15))
@@ -357,7 +510,7 @@ def test_scale_invariance(d):
     for els in [[1, 2], [1, -2], [2, 3]]:
         s = GeneratorSet(els)
         if s.c * d <= 16:
-            assert domination_ratio(s.scale(d)).ratio == domination_ratio(s).ratio
+            assert domination_ratio(scale(s, d)).ratio == domination_ratio(s).ratio
 
 
 def test_congruence_families_have_efficient_sets():
@@ -380,7 +533,7 @@ def test_eds_examples():
     assert exists
     # the witness is a translate of the multiples-of-3 pattern
     assert witness.density == Fraction(1, 3)
-    assert witness.same_set_as(PeriodicSet(3, {witness.sorted_residues()[0] % 3 or 3}))
+    assert same_set_as(witness, PeriodicSet(3, {witness.sorted_residues()[0] % 3 or 3}))
 
     assert eds_exists(GeneratorSet([1, 4])) == (False, None)
 
