@@ -85,32 +85,45 @@ def _dominator_lists(inst: CirculantInstance) -> list[list[int]]:
 
 def _exists_cover(uncovered: int, budget: int, cover: list[int],
                   doms: list[list[int]], per_vertex: int, min_vertex: int = 0) -> bool:
-    """Can `budget` vertices (all >= min_vertex) cover the uncovered mask?"""
-    if uncovered == 0:
+    """Can `budget` vertices (all >= min_vertex) cover the uncovered mask?
+
+    Depth-first, on an explicit stack with one (uncovered, budget left,
+    untried candidates) entry per level, so that the depth, up to budget,
+    never meets Python's recursion limit."""
+    if not uncovered:
         return True
-    if budget <= 0:
+    if budget <= 0 or uncovered.bit_count() > budget * per_vertex:
         return False
-    if uncovered.bit_count() > budget * per_vertex:
-        return False
-    # branch on the least-coverable uncovered vertex; with a fixed
-    # connection set all vertices tie, so this is the lowest one
-    best_j, best_cands = -1, None
-    u = uncovered
-    while u:
-        j = (u & -u).bit_length() - 1
-        cands = [v for v in doms[j] if v >= min_vertex]
-        if not cands:
+    stack = []
+    while True:
+        # branch on the least-coverable uncovered vertex; with a fixed
+        # connection set all vertices tie, so this is the lowest one
+        best = None
+        u = uncovered
+        while u:
+            j = (u & -u).bit_length() - 1
+            cands = [v for v in doms[j] if v >= min_vertex]
+            if best is None or len(cands) < len(best):
+                best = cands
+                if len(cands) <= 1:  # forced; or none, and the branch fails
+                    break
+            u &= u - 1
+        if best:
+            stack.append((uncovered, budget - 1, iter(best)))
+        while stack:  # the next candidate not cut off, deepest level first
+            level, budget, untried = stack[-1]
+            for v in untried:
+                uncovered = level & ~cover[v]
+                if not uncovered:
+                    return True
+                if budget > 0 and uncovered.bit_count() <= budget * per_vertex:
+                    break
+            else:
+                stack.pop()
+                continue
+            break
+        else:
             return False
-        if best_cands is None or len(cands) < len(best_cands):
-            best_j, best_cands = j, cands
-            if len(cands) == 1:
-                break
-        u &= u - 1
-    for v in best_cands:
-        if _exists_cover(uncovered & ~cover[v], budget - 1, cover, doms,
-                         per_vertex, min_vertex):
-            return True
-    return False
 
 
 def domination_number(inst: CirculantInstance,

@@ -27,15 +27,14 @@ and a vectorized Bellman-Ford pass either certifies none exist or yields a
 strictly better cycle from its predecessor pointers.  Each pass packs
 (value, state) into one int64 as value << c | state, so a single
 subset-minimum transform carries both the minimum and its argmin.  Those
-pointer cycles are found by pointer doubling over all 2^c states at once,
-labelling each cycle by its smallest state; the doubling stops as soon as
-a squaring moves no pointer.  Each test after the first starts its values
-on the cycle the previous test found, not at zero: that reaches the same
-fixpoint, often in far fewer rounds.  Once a round improves only a few
-states, later rounds keep the transform and lower it just at the supermasks
-of those states' masks, re-evaluating only the states whose predecessor
-minimum fell.  All arithmetic is integer/Fraction; no floating point
-anywhere.
+pointer cycles are the states left once the image of the pointer map stops
+shrinking under squaring, at a cost that follows that image, not 2^c.  Each
+test after the first starts its values on the cycle the previous test found,
+not at zero: that reaches the same fixpoint, often in far fewer rounds.
+Once a round improves only a few states, later rounds keep the transform and
+lower it just at the supermasks of those states' masks, re-evaluating only
+the states whose predecessor minimum fell.  All arithmetic is
+integer/Fraction; no floating point anywhere.
 
 Sets dominating every integer exactly once use the same masks.  A pair
 covers each window position exactly once iff neither side covers any
@@ -189,72 +188,65 @@ class _ThresholdResult:
     cycle: list[int] | None = None  # a cycle of that mean, in edge order
 
 
-def _scan_pred_cycles(pred: np.ndarray, improved: np.ndarray,
-                      weights: np.ndarray, mu: Fraction, idx: np.ndarray,
-                      nxt: np.ndarray, lo: np.ndarray,
-                      spare: np.ndarray) -> tuple[Fraction, int] | None:
-    """Smallest mean below mu among the predecessor-pointer cycles that the
-    pointer walks from the improved nodes run into, with the smallest node
-    of one such cycle; or None.
+def _scan_pred_cycles(pred: np.ndarray, weights: np.ndarray, mu: Fraction,
+                      nxt: np.ndarray, pos: np.ndarray) -> tuple[Fraction, int] | None:
+    """Smallest mean below mu among the predecessor-pointer cycles, with the
+    smallest node of one such cycle; or None.
 
     Predecessor edges are real graph edges, so any pointer cycle is a real
     cycle; pointers are only (re)assigned on strict improvement, which makes
     every pointer cycle strictly negative for the current threshold.
 
-    Wyllie's pointer doubling: after k squarings nxt[v] is 2^k steps along
-    v's walk and lo[v] the smallest node among those steps.  Once 2^k >= n
-    every walk has reached its final cycle (or a node without a pointer,
-    which points at itself), and on a cycle lo is the cycle's smallest node,
-    used as its label.  Doubling stops early once a squaring leaves nxt
-    unchanged: then every walk has stopped on a cycle of length dividing
-    2^k, which lo already covers whole.  idx is arange(n); nxt, lo and
-    spare are int64 scratch arrays of length n, overwritten.
+    The cycle nodes are the fixpoint image of the pointer map, nodes without
+    a pointer being sinks.  D starts as the image of pred over the nodes with
+    a pointer; each step squares nxt on D, so that nxt[v] is 2^k steps along
+    v's walk, and sets D to nxt[D] less the sinks.  D only shrinks, and once
+    a step keeps its size nxt permutes D: D is then exactly the cycle nodes.
+    Pointer doubling inside D labels each cycle by its smallest node and
+    stops once a doubling lowers no label.  nxt and pos are int64 scratch
+    arrays of length n, overwritten.
     """
     n = pred.shape[0]
-    np.copyto(nxt, pred)
-    np.copyto(nxt, idx, where=pred < 0)
-    np.copyto(lo, idx)
-    for _ in range((n - 1).bit_length()):
-        np.take(lo, nxt, out=spare, mode="clip")
-        np.minimum(lo, spare, out=lo)
-        np.take(nxt, nxt, out=spare, mode="clip")
-        if np.array_equal(spare, nxt):
-            break
-        nxt, spare = spare, nxt
-    if np.take(pred, nxt, out=spare, mode="clip").max() < 0:
+    mark = pos.view(np.bool_)[:n + 1]  # pos is free until the labelling
+    mark.fill(False)
+    mark[pred] = True  # a missing pointer (-1) marks the spare slot mark[n]
+    d = np.flatnonzero(mark[:n])
+    d = d[pred[d] >= 0]  # ascending, and stays so
+    walk, size = pred, -1
+    while d.size != size:
+        size = d.size
+        ahead = walk[d]
+        ahead = np.where(pred[ahead] < 0, ahead, walk[ahead])
+        nxt[d] = ahead
+        walk = nxt
+        mark[d] = False
+        mark[ahead] = True
+        d = d[mark[d]]
+    m = d.size
+    if not m:
         return None  # every walk ends at a node without a pointer
-    label = np.take(lo, nxt, out=spare, mode="clip")
-    # the image of nxt is every cycle node, plus each node without a pointer
-    # on its stand-in self-loop (dropped below); mark[n] is a spare slot
-    mark = np.ones(n + 1, dtype=bool)
-    mark[nxt] = False
+
+    # label each cycle by its smallest node, as an index into d
+    lo = np.arange(m)
+    pos[d] = lo
+    step = pos[pred[d]]
+    while not np.array_equal(lower := np.minimum(lo, lo[step]), lo):
+        lo, step = lower, step[step]
 
     # per label, (length << shift) + total weight of the cycle's nodes;
     # below 2^63 while 2c + 1 + bit_length(c) <= 63, i.e. c <= 28
     shift = (n * int(weights.max())).bit_length()
     if n.bit_length() + shift > 63:
         raise CapExceededError("cycle-scan packing bits", n.bit_length() + shift, 63)
-    stats = lo
-    stats.fill(0)
-    np.add(weights, 1 << shift, out=nxt)
-    np.copyto(nxt, 0, where=mark[:n])
-    np.add.at(stats, label, nxt)
-
-    # labels reached from the improved nodes; the others go to the spare slot
-    reach = nxt
-    reach.fill(n)
-    np.copyto(reach, label, where=improved)
-    mark.fill(False)
-    mark[reach] = True
-    labels = np.flatnonzero(mark[:n])
-    labels = labels[pred[labels] >= 0]  # drop the stand-in self-loops
-    found = stats[labels]
+    stats = np.zeros(m, dtype=np.int64)
+    np.add.at(stats, lo, weights[d] + (1 << shift))
+    heads = np.flatnonzero(stats)
+    found = stats[heads]
 
     # smallest total per cycle length; disjoint cycles have fewer than
-    # sqrt(2n) distinct lengths, so few Fractions are built
+    # sqrt(2m) distinct lengths, so few Fractions are built
     low = (1 << shift) - 1
-    by_length = spare
-    by_length.fill(low + 1)
+    by_length = np.full(m, low + 1, dtype=np.int64)
     np.minimum.at(by_length, (found >> shift) - 1, found & low)
     best = None
     for i in np.flatnonzero(by_length <= low).tolist():
@@ -263,7 +255,7 @@ def _scan_pred_cycles(pred: np.ndarray, improved: np.ndarray,
             best, key = mean, ((i + 1) << shift) + int(by_length[i])
     if best is None:
         return None
-    return best, int(labels[np.argmax(found == key)])
+    return best, int(d[heads[np.argmax(found == key)]])
 
 
 def _lower_supermasks(t: np.ndarray, masks: np.ndarray, keys: np.ndarray,
@@ -390,14 +382,8 @@ def _test_threshold(uncovered: np.ndarray, covers: np.ndarray,
         else:
             tbase = front = None
         if rnd & (rnd - 1) == 0 or rnd == n + 1:
-            if tbase is None:
-                spare = t  # dead until the next round
-            else:  # t is kept, so scan in a fresh array instead
-                improved = np.zeros(n, dtype=bool)
-                improved[front] = True
-                spare = np.empty(n, dtype=np.int64)
-            found = _scan_pred_cycles(pred, improved, weights, mu, idx, gval, cand, spare)
-            del spare
+            # gval and cand are dead until the next round
+            found = _scan_pred_cycles(pred, weights, mu, gval, cand)
             if found is not None:
                 mean, node = found
                 cycle = [node]  # pred points backwards along the cycle

@@ -132,16 +132,16 @@ def value_iteration_naive(g, mu):
     return history
 
 
-def pred_cycle_mean_naive(pred, improved, weights, mu):
-    """Smallest mean below mu among the predecessor-pointer cycles reached
-    by walking the pointers from the improved nodes, or None.
+def pointer_cycles(pred, starts=None):
+    """The predecessor-pointer cycles, each a list of nodes, that the pointer
+    walks from `starts` (every node by default) run into.
 
     Walks node by node, colouring nodes as new, on the current walk or
     finished; a walk that meets its own path has found a cycle."""
     n = len(pred)
     color = [0] * n  # 0 new, 1 on walk, 2 finished
-    best = None
-    for v in np.nonzero(improved)[0].tolist():
+    cycles = []
+    for v in (range(n) if starts is None else starts):
         if color[v]:
             continue
         path = []
@@ -150,13 +150,23 @@ def pred_cycle_mean_naive(pred, improved, weights, mu):
             path.append(v)
             v = int(pred[v])
         if v >= 0 and color[v] == 1:
-            cyc = path[path.index(v):]
-            mean = Fraction(sum(int(weights[x]) for x in cyc), len(cyc))
-            if mean < mu and (best is None or mean < best):
-                best = mean
+            cycles.append(path[path.index(v):])
         for x in path:
             color[x] = 2
-    return best
+    return cycles
+
+
+def pred_cycle_mean_naive(pred, weights, mu, starts=None):
+    """Smallest mean below mu among the pointer cycles reached from `starts`
+    (every node by default), with the smallest node of the shortest such
+    cycle whose smallest node is least; or None."""
+    best = None
+    for cyc in pointer_cycles(pred, starts):
+        mean = Fraction(sum(int(weights[x]) for x in cyc), len(cyc))
+        if mean < mu:
+            key = (mean, len(cyc), min(cyc))
+            best = key if best is None else min(best, key)
+    return None if best is None else (best[0], best[2])
 
 
 def brute_canonical_cycle(g, mu):

@@ -88,6 +88,27 @@ def test_cap():
     assert gamma == 16
 
 
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_search_deeper_than_recursion_limit():
+    # gamma(Z_40, {1}) = 20: the search goes 20 levels deep, with room for
+    # only 10 more frames on the stack
+    inst = CirculantInstance(40, [1])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 10)
+    try:
+        gamma, witness = domination_number(inst, n_max=40)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert gamma == 20
+    assert witness == tuple(range(0, 40, 2))
+
+
 @pytest.mark.parametrize("els,limit,want,at", [
     ([1, 2], 12, Fraction(1, 3), 3),
     ([1, 4], 12, Fraction(2, 5), 5),

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from domrat.circulant import domination_number, residues
 from domrat.core import GeneratorSet
 from domrat.errors import InputError
 from domrat.formulas import (
@@ -130,6 +131,25 @@ def test_circulant_pm1s_eds():
     assert circulant_pm1s_eds(15, 3)
     assert not circulant_pm1s_eds(11, 2)
     assert not circulant_pm1s_eds(10, 4)
+
+
+def test_circulant_formulas_against_solver():
+    # every valid (n, s) with 6 <= n <= 24, against the exact circulant
+    # solver: {1, s} for 1 < s < n, {+-1, +-s} for 1 < s < ceil(n/2)
+    pm_pairs = 0
+    for n in range(6, 25):
+        for s in range(2, n):
+            lo, hi = circulant_bounds_one_s(n, s)
+            assert lo <= domination_number(residues(GeneratorSet([1, s]), n))[0] <= hi
+        for s in range(2, -(-n // 2)):
+            gamma, _ = domination_number(residues(GeneratorSet([1, -1, s, -s]), n))
+            lo, hi = circulant_bounds_pm_one_s(n, s)
+            assert lo <= gamma <= hi
+            # 1, -1, s, -s are distinct mod n, so each vertex dominates 5:
+            # a set dominating everything exactly once has n/5 members
+            assert circulant_pm1s_eds(n, s) == (5 * gamma == n)
+            pm_pairs += 1
+    assert pm_pairs == 109
 
 
 def test_cong_family_examples():

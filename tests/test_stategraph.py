@@ -34,6 +34,7 @@ from oracles import (
     is_edge,
     is_transition,
     karp_min_mean,
+    pointer_cycles,
     pred_cycle_mean_naive,
     same_set_as,
     scale,
@@ -139,16 +140,15 @@ def test_min_mean_cycle_rejects_acyclic_fixture():
         min_mean_cycle(StateGraph(s, 2, uncovered, covers, weights))
 
 
-def _scan(pred, improved, weights, mu):
+def _scan(pred, weights, mu):
     pred = np.asarray(pred, dtype=np.int64)
-    n = len(pred)
-    scratch = [np.empty(n, dtype=np.int64) for _ in range(3)]
+    scratch = [np.empty(len(pred), dtype=np.int64) for _ in range(2)]
     return stategraph._scan_pred_cycles(
-        pred, np.asarray(improved, dtype=bool), np.asarray(weights, dtype=np.int64),
-        mu, np.arange(n, dtype=np.int64), *scratch)
+        pred, np.asarray(weights, dtype=np.int64), mu, *scratch)
 
 
-# (pred, improved nodes, weights, mu, smallest mean below mu reached)
+# (pred, the nodes the last round improved, weights, mu, smallest mean below
+# mu among all pointer cycles)
 _SCAN_FIXTURES = [
     # walks end at nodes without a pointer: no cycle
     ([-1, 0, 1, -1], [2, 3], [0, 0, 0, 0], Fraction(5), None),
@@ -157,22 +157,22 @@ _SCAN_FIXTURES = [
     # a 40-node tail from node 0 into the pointer cycle 40 -> 41 -> 42 -> 40
     (list(range(1, 41)) + [41, 42, 40], [0], [0] * 40 + [1, 0, 1],
      Fraction(5), Fraction(2, 3)),
-    # the mean-0 cycle {0, 1} is reached by no improved node
-    ([1, 0, 3, 2, 2], [4], [0, 0, 2, 1, 0], Fraction(5), Fraction(3, 2)),
-    # the only reached cycle is not below mu
+    # the mean-0 cycle {0, 1} holds no improved node and is still found
+    ([1, 0, 3, 2, 2], [4], [0, 0, 2, 1, 0], Fraction(5), Fraction(0)),
+    # the only cycle is not below mu
     ([1, 0], [0], [1, 2], Fraction(3, 2), None),
-    # nothing improved
-    ([0], [], [0], Fraction(1), None),
+    # a self-loop, though nothing improved
+    ([0], [], [0], Fraction(1), Fraction(0)),
     # every walk ends at one of two nodes without a pointer
     ([-1, 0, 1, 2, -1, 4, 5, 1], [3, 6, 7], [0] * 8, Fraction(5), None),
     # a real self-loop at node 2; every other walk ends at a node without one
     ([-1, 0, 2, 2, 0, -1, 5], [1, 3, 6], [0, 0, 1, 0, 0, 0, 0], Fraction(5),
      Fraction(1)),
-    # the same self-loop, reached by no improved node
+    # the same self-loop, reached from no improved node
     ([-1, 0, 2, 2, 0, -1, 5], [1, 4, 6], [0, 0, 1, 0, 0, 0, 0], Fraction(5),
-     None),
+     Fraction(1)),
     # tails of exactly 8 and 9 nodes from node 0 into a 2-cycle of mean 1/2:
-    # the walk from 0 stops moving only after the doubling that passes 8
+    # the image of the pointer map keeps a tail node for 7 and 8 steps
     (list(range(1, 9)) + [9, 8], [0], [0] * 8 + [1, 0], Fraction(5), Fraction(1, 2)),
     (list(range(1, 10)) + [10, 9], [0], [0] * 9 + [1, 0], Fraction(5),
      Fraction(1, 2)),
@@ -191,24 +191,33 @@ def _pointer_cycle_mean(pred, weights, node):
     return Fraction(sum(int(weights[x]) for x in cycle), len(cycle))
 
 
-def _check_scan(pred, improved, weights, mu, want):
-    """The scan returns the smallest mean and a node on a pointer cycle of
-    exactly that mean."""
-    got = _scan(pred, improved, weights, mu)
+def _check_scan(pred, weights, mu, want):
+    """The scan returns the smallest mean, want, with the oracle's node, a
+    node on a pointer cycle of exactly that mean."""
+    got = _scan(pred, weights, mu)
+    assert got == pred_cycle_mean_naive(pred, weights, mu)
     if want is None:
         assert got is None
-        return
+        return got
     mean, node = got
     assert mean == want
     assert _pointer_cycle_mean(pred, weights, node) == want
+    return got
+
+
+def _every_cycle_improved(pred, improved) -> bool:
+    return all(np.asarray(improved)[cyc].any() for cyc in pointer_cycles(pred))
 
 
 @pytest.mark.parametrize("pred,starts,weights,mu,want", _SCAN_FIXTURES)
 def test_pred_cycle_scan_fixtures(pred, starts, weights, mu, want):
+    got = _check_scan(pred, weights, mu, want)
+    # when every cycle holds an improved node, as in _test_threshold, the
+    # walks from the improved nodes alone find the same
     improved = np.zeros(len(pred), dtype=bool)
     improved[starts] = True
-    assert pred_cycle_mean_naive(pred, improved, weights, mu) == want
-    _check_scan(pred, improved, weights, mu, want)
+    if _every_cycle_improved(pred, improved):
+        assert pred_cycle_mean_naive(pred, weights, mu, starts) == got
 
 
 def test_pred_cycle_scan_matches_naive_walk():
@@ -217,11 +226,25 @@ def test_pred_cycle_scan_matches_naive_walk():
         n = int(rng.integers(1, 70))
         pred = rng.integers(0, n, n)
         pred[rng.random(n) < rng.random() * 0.3] = -1
-        improved = rng.random(n) < rng.random()
         weights = rng.integers(0, 4, n)
         mu = Fraction(int(rng.integers(1, 20)), int(rng.integers(1, 6)))
-        want = pred_cycle_mean_naive(pred, improved, weights, mu)
-        _check_scan(pred, improved, weights, mu, want)
+        want = pred_cycle_mean_naive(pred, weights, mu)
+        _check_scan(pred, weights, mu, None if want is None else want[0])
+
+
+def test_pred_cycle_scan_long_tails():
+    # mostly short forward steps, so walks run long tails into few cycles
+    rng = np.random.default_rng(2025)
+    for _ in range(100):
+        n = int(rng.integers(1, 400))
+        pred = np.minimum(np.arange(n) + rng.integers(1, 3, n), n - 1)
+        back = rng.random(n) < 0.02
+        pred[back] = rng.integers(0, n, int(back.sum()))
+        pred[rng.random(n) < 0.01] = -1
+        weights = rng.integers(0, 4, n)
+        mu = Fraction(int(rng.integers(1, 20)), int(rng.integers(1, 6)))
+        want = pred_cycle_mean_naive(pred, weights, mu)
+        _check_scan(pred, weights, mu, None if want is None else want[0])
 
 
 def _threshold_calls(g):
@@ -286,9 +309,8 @@ def _set_tail(monkeypatch, rule):
     monkeypatch.setattr(stategraph, "_SPARSE_SHARE", rule[1])
 
 
-@pytest.fixture
-def sparse_rounds(monkeypatch):
-    """The sparse threshold rounds run during the test, one entry each."""
+def _count_sparse_rounds(monkeypatch):
+    """The sparse threshold rounds run from now on, one entry each."""
     rounds = []
     lower = stategraph._lower_supermasks
 
@@ -298,6 +320,12 @@ def sparse_rounds(monkeypatch):
 
     monkeypatch.setattr(stategraph, "_lower_supermasks", counted)
     return rounds
+
+
+@pytest.fixture
+def sparse_rounds(monkeypatch):
+    """The sparse threshold rounds run during the test, one entry each."""
+    return _count_sparse_rounds(monkeypatch)
 
 
 def _compare_tail(monkeypatch, g, calls, tail=_TAIL_FORCED):
@@ -356,6 +384,71 @@ def test_sparse_tail_matches_dense_wide(monkeypatch, sparse_rounds, els):
     g = build_state_graph(GeneratorSet(els), c_max=18)
     _compare_tail(monkeypatch, g, _schedule_and_unseeded(g), _TAIL_DEFAULT)
     assert sparse_rounds
+
+
+def _threshold_frame():
+    """Locals of the innermost _test_threshold call on the stack, or None."""
+    frame = sys._getframe(2)
+    while frame is not None and frame.f_code is not stategraph._test_threshold.__code__:
+        frame = frame.f_back
+    return None if frame is None else frame.f_locals
+
+
+def _record_scans(monkeypatch):
+    """Every _scan_pred_cycles call from _test_threshold from now on, as
+    (pred, improved, weights, mu, result): improved marks the nodes whose y
+    fell in the round the scan ends.  y is copied as each round starts, when
+    its transform or supermask lowering runs."""
+    scans, start = [], {}
+
+    def at_round_start(fn):
+        def wrapped(*args):
+            if (local := _threshold_frame()) is not None:
+                start["y"] = local["y"].copy()
+            return fn(*args)
+        return wrapped
+
+    for name in ("_subset_transform", "_lower_supermasks"):
+        monkeypatch.setattr(stategraph, name, at_round_start(getattr(stategraph, name)))
+    scan = stategraph._scan_pred_cycles
+
+    def recorded(pred, weights, mu, *scratch):
+        improved = _threshold_frame()["y"] < start["y"]
+        got = scan(pred, weights, mu, *scratch)
+        scans.append((pred.copy(), improved, weights, mu, got))
+        return got
+
+    monkeypatch.setattr(stategraph, "_scan_pred_cycles", recorded)
+    return scans
+
+
+@pytest.fixture(scope="module")
+def small_c_scans():
+    """The scans of every threshold test of the schedule, plus the
+    certifying test unseeded, with the sparse tail forced and off."""
+    with pytest.MonkeyPatch.context() as mp:
+        sparse = _count_sparse_rounds(mp)
+        scans = _record_scans(mp)
+        for s in _SMALL_SETS + [GeneratorSet([1, 12])]:
+            g = build_state_graph(s, c_max=12)
+            _compare_tail(mp, g, _schedule_and_unseeded(g))
+    assert len(sparse) > 1000
+    assert any(r is None for *_, r in scans) and any(r is not None for *_, r in scans)
+    return scans
+
+
+def test_every_pointer_cycle_holds_an_improved_node(small_c_scans):
+    # what lets the scan look at every cycle: each pointer cycle alive after
+    # a round holds a node that round improved
+    for pred, improved, *_ in small_c_scans:
+        assert _every_cycle_improved(pred, improved)
+
+
+def test_scan_matches_walks_from_improved_nodes(small_c_scans):
+    # the scan over all cycles returns what walking the pointers from the
+    # improved nodes alone finds
+    for pred, improved, weights, mu, got in small_c_scans:
+        assert got == pred_cycle_mean_naive(pred, weights, mu, np.flatnonzero(improved))
 
 
 # {1,-2} at mu = 121/100, unseeded: y's minimum falls in round 1 and again
