@@ -42,6 +42,8 @@ def residues(s: GeneratorSet, n: int) -> CirculantInstance:
     Elements divisible by n are rejected: they would turn into loop edges,
     which the infinite graph does not have.
     """
+    if n < 1:
+        raise InputError(f"modulus must be positive, got {n}")
     conn = set()
     for x in s:
         r = x % n

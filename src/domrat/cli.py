@@ -14,7 +14,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import blockdsl, verification
@@ -29,15 +28,6 @@ from .errors import CapExceededError, InputError
 from .stategraph import DEFAULT_C_MAX, domination_ratio, eds_exists, state_elements
 
 TEXT, JSON, CSV = "text", "json", "csv"
-
-
-@dataclass
-class RunConfig:
-    c_max: int = DEFAULT_C_MAX
-    n_max: int = DEFAULT_N_MAX
-    output_format: str = TEXT
-    decimal: bool = False
-    cases: int = verification.DEFAULT_CASES
 
 
 def parse_set_literal(text: str) -> GeneratorSet:
@@ -76,20 +66,20 @@ def _require_nonempty(s: GeneratorSet) -> GeneratorSet:
     return s
 
 
-def cmd_ratio(args, cfg: RunConfig) -> int:
+def cmd_ratio(args) -> int:
     results = []
     for text in args.set:
         s = _require_nonempty(parse_set_literal(text))
-        cert = domination_ratio(s, c_max=cfg.c_max)
+        cert = domination_ratio(s, c_max=args.c_max)
         results.append((s, cert))
 
-    if cfg.output_format == CSV:
+    if args.output_format == CSV:
         out = io.StringIO()
         writer = csv.writer(out)
         writer.writerow(["set", "a", "b", "c", "ratio_num", "ratio_den",
                          "period", "eds"])
         for s, cert in results:
-            has_eds, _ = eds_exists(s, c_max=cfg.c_max)
+            has_eds, _ = eds_exists(s, c_max=args.c_max)
             writer.writerow([str(s), s.a, s.b, s.c, cert.ratio.numerator,
                              cert.ratio.denominator, cert.period,
                              "true" if has_eds else "false"])
@@ -105,11 +95,11 @@ def cmd_ratio(args, cfg: RunConfig) -> int:
             "witness_blocks": blockdsl.render(periodic_to_blocks(cert.witness)),
             "cycle_states": [list(state_elements(t)) for t in cert.cycle],
         }
-        if cfg.decimal:
+        if args.decimal:
             payload["ratio_decimal"] = _decimal(cert.ratio)
         payloads.append(payload)
 
-    if cfg.output_format == JSON:
+    if args.output_format == JSON:
         _emit_json(payloads[0] if len(payloads) == 1 else payloads)
         return 0
 
@@ -117,21 +107,21 @@ def cmd_ratio(args, cfg: RunConfig) -> int:
         bound = s.c * (1 << s.c)
         print(f"set: {s}")
         print(f"ratio: {cert.ratio}")
-        if cfg.decimal:
+        if args.decimal:
             print(f"ratio (approx): {_decimal(cert.ratio)}")
         print(f"period: {cert.period}")
         print(f"witness: {blockdsl.render(periodic_to_blocks(cert.witness))}")
         print(f"cycle length: {len(cert.cycle)}")
-        holds = "holds" if cert.period <= bound else "violated"
-        print(f"period bound c*2^c = {bound}: {holds}")
+        # domination_ratio raises CertificateError on a longer period
+        print(f"period bound c*2^c = {bound}: holds")
     return 0
 
 
-def cmd_domnum(args, cfg: RunConfig) -> int:
+def cmd_domnum(args) -> int:
     s = parse_set_literal(args.set)
     inst = residues(s, args.n)
-    gamma, witness = domination_number(inst, n_max=cfg.n_max)
-    if cfg.output_format == JSON:
+    gamma, witness = domination_number(inst, n_max=args.n_max)
+    if args.output_format == JSON:
         _emit_json({
             "n": args.n,
             "set": list(s.elements),
@@ -147,11 +137,11 @@ def cmd_domnum(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_eds(args, cfg: RunConfig) -> int:
+def cmd_eds(args) -> int:
     s = _require_nonempty(parse_set_literal(args.set))
-    exists, witness = eds_exists(s, c_max=cfg.c_max)
+    exists, witness = eds_exists(s, c_max=args.c_max)
     blocks = blockdsl.render(periodic_to_blocks(witness)) if exists else None
-    if cfg.output_format == JSON:
+    if args.output_format == JSON:
         _emit_json({
             "set": list(s.elements),
             "exists": exists,
@@ -167,10 +157,10 @@ def cmd_eds(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_blocks(args, cfg: RunConfig) -> int:
+def cmd_blocks(args) -> int:
     bs = blockdsl.flatten(blockdsl.parse(args.dsl))
     if args.action == "parse":
-        if cfg.output_format == JSON:
+        if args.output_format == JSON:
             _emit_json({"sizes": list(bs.sizes), "count": len(bs.sizes),
                         "period": bs.period})
         else:
@@ -180,20 +170,20 @@ def cmd_blocks(args, cfg: RunConfig) -> int:
         return 0
     if args.action == "density":
         d = blocks_to_periodic(bs).density
-        if cfg.output_format == JSON:
+        if args.output_format == JSON:
             payload = {"sizes": list(bs.sizes), "density": _fraction_json(d)}
-            if cfg.decimal:
+            if args.decimal:
                 payload["density_decimal"] = _decimal(d)
             _emit_json(payload)
         else:
             print(f"density: {d}")
-            if cfg.decimal:
+            if args.decimal:
                 print(f"density (approx): {_decimal(d)}")
         return 0
     # verify
     s = parse_set_literal(args.set)
     ok = verify_dominating(blocks_to_periodic(bs), s)
-    if cfg.output_format == JSON:
+    if args.output_format == JSON:
         _emit_json({"sizes": list(bs.sizes), "set": list(s.elements),
                     "dominating": ok})
     else:
@@ -201,16 +191,16 @@ def cmd_blocks(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_oracle(args, cfg: RunConfig) -> int:
+def cmd_oracle(args) -> int:
     s = _require_nonempty(parse_set_literal(args.set))
-    scan = oracle_scan(s, args.n_limit, n_max=cfg.n_max)
+    scan = oracle_scan(s, args.n_limit, n_max=args.n_max)
     best = min(Fraction(g, n) for n, g in scan)
     attained = next(n for n, g in scan if Fraction(g, n) == best)
     certified = None
-    if s.c <= cfg.c_max:
-        cert = domination_ratio(s, c_max=cfg.c_max)
+    if s.c <= args.c_max:
+        cert = domination_ratio(s, c_max=args.c_max)
         certified = args.n_limit >= cert.period
-    if cfg.output_format == JSON:
+    if args.output_format == JSON:
         payload = {
             "set": list(s.elements),
             "n_limit": args.n_limit,
@@ -219,13 +209,13 @@ def cmd_oracle(args, cfg: RunConfig) -> int:
             "certified": certified,
             "scan": [[n, g] for n, g in scan],
         }
-        if cfg.decimal:
+        if args.decimal:
             payload["best_decimal"] = _decimal(best)
         _emit_json(payload)
     else:
         print(f"set: {s}")
         print(f"best ratio up to n={args.n_limit}: {best} (at n={attained})")
-        if cfg.decimal:
+        if args.decimal:
             print(f"best (approx): {_decimal(best)}")
         if certified is None:
             print("certified: unknown (c exceeds cap)")
@@ -234,11 +224,11 @@ def cmd_oracle(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_verify_paper(args, cfg: RunConfig) -> int:
-    rows = verification.run_verification(c_max=cfg.c_max, n_max=cfg.n_max,
-                                         cases=cfg.cases)
+def cmd_verify_paper(args) -> int:
+    rows = verification.run_verification(c_max=args.c_max, n_max=args.n_max,
+                                         cases=args.cases)
     failed = sum(1 for r in rows if r.status == "FAIL")
-    if cfg.output_format == JSON:
+    if args.output_format == JSON:
         _emit_json({
             "rows": [{"criterion": r.criterion, "label": r.label,
                       "status": r.status, "detail": r.detail} for r in rows],
@@ -334,17 +324,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = RunConfig(c_max=_env_c_max() if args.c_max is None else args.c_max,
-                        n_max=args.n_max, output_format=args.output_format,
-                        decimal=args.decimal,
-                        cases=getattr(args, "cases", verification.DEFAULT_CASES))
-        if cfg.c_max < 1 or cfg.n_max < 1:
+        if args.c_max is None:
+            args.c_max = _env_c_max()
+        if args.c_max < 1 or args.n_max < 1:
             print("caps must be positive", file=sys.stderr)
             return 2
         if args.command == "blocks" and args.action == "verify" and args.set is None:
             print("blocks verify needs a generator set", file=sys.stderr)
             return 2
-        return args.func(args, cfg)
+        return args.func(args)
     except CapExceededError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3

@@ -166,6 +166,9 @@ def _subset_transform(t: np.ndarray, c: int, ufunc: np.ufunc) -> None:
             ufunc(tt[:, 1, :], tt[:, 0, :], out=tt[:, 1, :])
 
 
+# Above every packed key.  Read as a key, it gives a state with no
+# predecessor the value (_INF >> c) + q*w - p >= 2^(61-c) - (c+1)2^c > 0 >= y
+# for c <= C_LIMIT = 28 (q <= 2^c, p <= (c+1)q), so such a state never improves
 _INF = np.int64(1) << np.int64(61)
 
 # A threshold round is sparse (see _test_threshold) when n is at least
@@ -321,23 +324,22 @@ def _test_threshold(uncovered: np.ndarray, covers: np.ndarray,
     t = np.empty(n, dtype=np.int64)
     gval = np.empty(n, dtype=np.int64)
     cand = np.empty(n, dtype=np.int64)
-    tbase = None  # the base of t's keys while t is kept for a sparse round
+    front = None  # the states the last round improved, while t is kept
     for rnd in range(1, n + 2):
-        base = y.min()
-        span = (int(y.max()) - int(base) + 1) * n
+        span = (1 - int(y.min())) * n
         if span >= int(_INF):
-            # mu = p/q has q <= n (a cycle length, or 1) and p <= (c+1)q, y
-            # stays <= 0, the seed starts at most L*p <= n*p below 0, each
-            # round lowers min y by at most p, and the check sees at most n
-            # rounds, so span <= 2(c+1)n^3 + n < 2^61 for c <= 18
+            # y stays <= 0, so the keys y << c | node lie in [n - span, n).
+            # mu = p/q has q <= n (a cycle length, or 1) and p <= (c+1)q, the
+            # seed starts at most L*p <= n*p below 0, each round lowers min y
+            # by at most p, and the check sees at most n rounds, so
+            # span <= 2(c+1)n^3 + n < 2^61 for c <= 18
             raise CapExceededError("packed (value, node) span", span, int(_INF))
-        if tbase is None:
-            # pack (value, node) so one transform yields min value and its
-            # argmin; n == 1 << c, so the node is the low c bits.  This loop
-            # sets the engine's peak memory, hence the in-place updates and
-            # freeing `packed` before the next temporaries
-            packed = y - base
-            packed <<= c
+        if front is None:
+            # pack (value, node) as y << c | node, so one transform yields
+            # min value and its argmin; n == 1 << c, so the node is the low c
+            # bits.  This loop sets the engine's peak memory, hence the
+            # in-place updates and freeing `packed` before the next temporaries
+            packed = y << c
             packed |= idx
             t.fill(_INF)
             np.minimum.at(t, uncovered, packed)
@@ -345,42 +347,34 @@ def _test_threshold(uncovered: np.ndarray, covers: np.ndarray,
             _subset_transform(t, c, np.minimum)
             np.take(t, covers, out=gval, mode="clip")
             np.right_shift(gval, c, out=cand)
-            cand += base
             cand += wq
-            cand[gval >= _INF] = _INF
             improved = cand < y
             if not improved.any():
                 return _ThresholdResult(converged=True, y=y)
             np.copyto(y, cand, where=improved)
             np.bitwise_and(gval, n - 1, out=cand)
             np.copyto(pred, cand, where=improved)
-            front = None
             if (n >= _SPARSE_MIN_STATES
                     and np.count_nonzero(improved) * _SPARSE_SHARE < n):
                 front = np.flatnonzero(improved)
         else:
-            if base < tbase:  # rebase t's keys on the new minimum
-                np.add(t, (tbase - base) << c, out=t, where=t < _INF)
-            keys = y[front] - base
-            keys <<= c
+            keys = y[front] << c
             keys |= front
             fell = np.zeros(n, dtype=bool)
             fell[_lower_supermasks(t, uncovered[front], keys, c)] = True
             front = np.flatnonzero(fell[covers])
             del fell
             best = t[covers[front]]
-            val = (best >> c) + base + wq[front]
+            val = (best >> c) + wq[front]
             better = val < y[front]
             front = front[better]
             if not front.size:
                 return _ThresholdResult(converged=True, y=y)
             y[front] = val[better]
             pred[front] = best[better] & (n - 1)
-        if (front is not None and front.size * _SPARSE_SHARE < n
-                and _supermask_count(uncovered[front], c) * _SPARSE_SHARE < n):
-            tbase = base  # keep t: the next round is sparse
-        else:
-            tbase = front = None
+        if (front is not None
+                and _supermask_count(uncovered[front], c) * _SPARSE_SHARE >= n):
+            front = None  # too many supermasks could fall: the next round is full
         if rnd & (rnd - 1) == 0 or rnd == n + 1:
             # gval and cand are dead until the next round
             found = _scan_pred_cycles(pred, weights, mu, gval, cand)
@@ -578,7 +572,9 @@ def eds_exists(s: GeneratorSet,
     states = np.nonzero(single)[0]
 
     # quotient graph on coverage masks: each state T is one edge
-    # covers(T) -> uncovered(T); any cycle there lifts to a state cycle
+    # covers(T) -> uncovered(T); any cycle there lifts to a state cycle.
+    # Built from the sorted triples, so the keys and each successor list are
+    # ascending: _find_meta_cycle searches in that order
     adjacency: dict[int, list[int]] = {}
     lift: dict[tuple[int, int], int] = {}
     for frm, to, st in sorted(zip(g.covers[states].tolist(),
@@ -602,12 +598,12 @@ def eds_exists(s: GeneratorSet,
 
 def _find_meta_cycle(adjacency: dict[int, list[int]]) -> list[int] | None:
     color: dict[int, int] = {}
-    for start in sorted(adjacency):
+    for start in adjacency:
         if color.get(start):
             continue
         path = [start]
         color[start] = 1
-        stack = [(start, iter(sorted(adjacency[start])))]
+        stack = [(start, iter(adjacency[start]))]
         while stack:
             node, it = stack[-1]
             advanced = False
@@ -620,7 +616,7 @@ def _find_meta_cycle(adjacency: dict[int, list[int]]) -> list[int] | None:
                 if col == 0:
                     color[nb] = 1
                     path.append(nb)
-                    stack.append((nb, iter(sorted(adjacency[nb]))))
+                    stack.append((nb, iter(adjacency[nb])))
                     advanced = True
                     break
             if not advanced:

@@ -25,6 +25,8 @@ def test_residues_examples():
     with pytest.raises(ZeroResidueError) as err:
         residues(GeneratorSet([1, 5]), 5)
     assert "5" in str(err.value)
+    with pytest.raises(InputError):
+        residues(GeneratorSet([1, 2]), 0)  # checked before x % n divides by zero
 
 
 def test_residues_merge_duplicates():

@@ -141,6 +141,8 @@ def test_exit_codes(capsys):
     assert code == 3
     code, _, err = run(capsys, "domnum", "31", "{1,2}")
     assert code == 3
+    code, _, err = run(capsys, "domnum", "0", "{1,2}")
+    assert code == 2 and "input error" in err
     code, _, err = run(capsys, "blocks", "parse", "3^0")
     assert code == 2 and "position" in err
     code, _, err = run(capsys, "ratio", "{}")

@@ -457,7 +457,8 @@ _FIXTURE = (GeneratorSet([1, -2]), Fraction(121, 100))
 
 
 def test_sparse_tail_rebase_fixture(monkeypatch, sparse_rounds):
-    # with the tail forced, round 7 is sparse and must rebase the kept keys
+    # with the tail forced, round 7 is sparse: y's minimum fell in round 6,
+    # and the keys kept from earlier rounds must stay exact across that fall
     s, mu = _FIXTURE
     g = build_state_graph(s)
     minima = [min(y) for y in value_iteration_naive(g, mu)]
@@ -714,6 +715,14 @@ for check in (stategraph.domination_ratio, stategraph.eds_exists):
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.split() == ["raised", "raised"], out.stderr
+
+
+def test_no_predecessor_never_improves():
+    # a state with no predecessor reads the sentinel as its key: the value
+    # (_INF >> c) + q*w - p is then positive, since q <= 2^c and
+    # p <= (c+1)q, so it never falls below y <= 0
+    for c in range(1, stategraph.C_LIMIT + 1):
+        assert (int(stategraph._INF) >> c) > (c + 1) << c
 
 
 def test_packing_span_guard_raises(monkeypatch):
