@@ -3,17 +3,20 @@
 A circulant digraph on Z_n with connection set C (least positive residues)
 has an edge u -> u+r mod n for every r in C.  The solver is a plain exact
 branch-and-bound over bitmask coverage, small enough to serve as an
-independent cross-check for the infinite-graph engine.
+independent cross-check for the infinite-graph engine.  A search branches
+on vertices from candidate groups precomputed per call and returns the
+cover it finds, from which the witness is built.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 from .core import GeneratorSet
-from .errors import CapExceededError, InputError, ZeroResidueError
+from .errors import CapExceededError, CertificateError, InputError, ZeroResidueError
 
 DEFAULT_N_MAX = 30
 
@@ -86,38 +89,43 @@ def _dominator_lists(inst: CirculantInstance) -> list[list[int]]:
 
 
 def _exists_cover(uncovered: int, budget: int, cover: list[int],
-                  doms: list[list[int]], per_vertex: int, min_vertex: int = 0) -> bool:
-    """Can `budget` vertices (all >= min_vertex) cover the uncovered mask?
+                  doms: list[list[int]], per_vertex: int,
+                  min_vertex: int = 0) -> list[int] | None:
+    """At most `budget` distinct vertices, all >= min_vertex, that cover the
+    uncovered mask; None if there are none.
 
     Depth-first, on an explicit stack with one (uncovered, budget left,
     untried candidates) entry per level, so that the depth, up to budget,
-    never meets Python's recursion limit."""
+    never meets Python's recursion limit.  Each node branches on the lowest
+    uncovered vertex of the first group, by count of candidates >= min_vertex,
+    that meets the mask."""
     if not uncovered:
-        return True
+        return []
     if budget <= 0 or uncovered.bit_count() > budget * per_vertex:
-        return False
+        return None
+    by_count: dict[int, int] = {}
+    for j, d in enumerate(doms):
+        k = len(d) - bisect_left(d, min_vertex)
+        by_count[k] = by_count.get(k, 0) | 1 << j
+    groups = [by_count[k] for k in sorted(by_count)]
+    chosen = [0] * budget  # chosen[b]: the candidate tried at the level with b left
     stack = []
     while True:
-        # branch on the least-coverable uncovered vertex; with a fixed
-        # connection set all vertices tie, so this is the lowest one
-        best = None
-        u = uncovered
-        while u:
-            j = (u & -u).bit_length() - 1
-            cands = [v for v in doms[j] if v >= min_vertex]
-            if best is None or len(cands) < len(best):
-                best = cands
-                if len(cands) <= 1:  # forced; or none, and the branch fails
-                    break
-            u &= u - 1
-        if best:
-            stack.append((uncovered, budget - 1, iter(best)))
+        for g in groups:
+            if g & uncovered:
+                g &= uncovered
+                d = doms[(g & -g).bit_length() - 1]
+                break
+        cands = d[bisect_left(d, min_vertex):]
+        if cands:  # none: no vertex can cover it, and the branch fails
+            stack.append((uncovered, budget - 1, iter(cands)))
         while stack:  # the next candidate not cut off, deepest level first
             level, budget, untried = stack[-1]
             for v in untried:
+                chosen[budget] = v
                 uncovered = level & ~cover[v]
                 if not uncovered:
-                    return True
+                    return chosen[budget:]
                 if budget > 0 and uncovered.bit_count() <= budget * per_vertex:
                     break
             else:
@@ -125,7 +133,7 @@ def _exists_cover(uncovered: int, budget: int, cover: list[int],
                 continue
             break
         else:
-            return False
+            return None
 
 
 def domination_number(inst: CirculantInstance,
@@ -134,7 +142,8 @@ def domination_number(inst: CirculantInstance,
 
     Iterative deepening from the counting lower bound; vertex 0 is forced
     into the set, which is sound because rotating any dominating set keeps
-    it dominating.
+    it dominating.  The witness is re-checked against the connection set,
+    without the cover masks, before it is returned.
     """
     n = inst.n
     if n > n_max:
@@ -146,30 +155,36 @@ def domination_number(inst: CirculantInstance,
 
     lower = -(-n // per_vertex)  # ceil
     for gamma in range(max(lower, 1), n + 1):
-        if _exists_cover(full & ~cover[0], gamma - 1, cover, doms, per_vertex):
+        found = _exists_cover(full & ~cover[0], gamma - 1, cover, doms, per_vertex)
+        if found is not None:
             break
     else:  # k = n always works
         raise AssertionError(f"no dominating set of size <= {n} found")
 
     # grow the witness smallest-vertex-first; each prefix must keep a
-    # feasible completion among strictly larger vertices
+    # feasible completion among strictly larger vertices.  `completion` is
+    # one such completion: by minimality of gamma its smallest vertex covers
+    # something new and is feasible, so only smaller vertices need a search
     witness = [0]
+    completion = sorted(found)
     uncovered = full & ~cover[0]
     budget = gamma - 1
-    min_next = 1
-    while uncovered:
-        for v in range(min_next, n):
+    while completion:
+        for v in range(witness[-1] + 1, completion[0]):
             if not (cover[v] & uncovered):
                 continue
-            if _exists_cover(uncovered & ~cover[v], budget - 1, cover, doms,
-                             per_vertex, v + 1):
-                witness.append(v)
-                uncovered &= ~cover[v]
-                budget -= 1
-                min_next = v + 1
+            found = _exists_cover(uncovered & ~cover[v], budget - 1, cover, doms,
+                                  per_vertex, v + 1)
+            if found is not None:
+                completion = [v] + sorted(found)
                 break
-        else:
-            raise AssertionError("witness reconstruction failed")
+        v = completion.pop(0)
+        witness.append(v)
+        uncovered &= ~cover[v]
+        budget -= 1
+    if len(witness) != gamma or not is_dominating(inst, witness):
+        raise CertificateError(
+            f"witness {witness} of Z_{n} does not dominate with {gamma} vertices")
     return gamma, tuple(witness)
 
 

@@ -357,6 +357,7 @@ def _test_threshold(uncovered: np.ndarray, covers: np.ndarray,
             if (n >= _SPARSE_MIN_STATES
                     and np.count_nonzero(improved) * _SPARSE_SHARE < n):
                 front = np.flatnonzero(improved)
+            del improved  # n bytes, not to be alive through the cycle scan
         else:
             keys = y[front] << c
             keys |= front

@@ -1,11 +1,14 @@
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
+from domrat import circulant
 from domrat.circulant import (
     CirculantInstance,
     domination_number,
@@ -15,7 +18,7 @@ from domrat.circulant import (
     residues,
 )
 from domrat.core import GeneratorSet
-from domrat.errors import CapExceededError, InputError, ZeroResidueError
+from domrat.errors import CapExceededError, CertificateError, InputError, ZeroResidueError
 from domrat.stategraph import domination_ratio
 
 
@@ -60,14 +63,50 @@ def test_domination_number_examples(n, conn, want):
     assert is_dominating(inst, witness)
 
 
-def test_witness_is_lexicographically_least():
-    inst = CirculantInstance(8, [1, 2])
+@pytest.mark.parametrize("n,conn", [
+    (8, [1, 2]),
+    (4, [4, 1]),  # residue n: a loop edge
+    # a reconstruction step finds a feasible vertex below the smallest one
+    # of the completion already known
+    (10, [6, 7]),
+    (11, [1, 3, 4]),
+])
+def test_witness_is_lexicographically_least(n, conn):
+    inst = CirculantInstance(n, conn)
     gamma, witness = domination_number(inst)
-    # brute force over all size-gamma subsets
-    from itertools import combinations
-    best = min(c for c in combinations(range(8), gamma)
+    best = min(c for c in combinations(range(n), gamma)
                if is_dominating(inst, c))
     assert witness == best
+
+
+def test_exists_cover_contract():
+    rng = random.Random(7)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        conn = rng.sample(range(1, n + 1), rng.randint(1, min(n, 3)))
+        inst = CirculantInstance(n, conn)
+        cover = circulant._cover_masks(inst)
+        doms = circulant._dominator_lists(inst)
+        mask = rng.getrandbits(n)
+        budget = rng.randint(0, 4)
+        min_vertex = rng.randint(0, n)
+        found = circulant._exists_cover(mask, budget, cover, doms, len(doms[0]),
+                                        min_vertex)
+        brute = any(not mask & ~_union(cover, c)
+                    for k in range(budget + 1)
+                    for c in combinations(range(min_vertex, n), k))
+        assert (found is not None) == brute, (n, conn, mask, budget, min_vertex)
+        if found is not None:
+            assert len(found) <= budget and len(set(found)) == len(found)
+            assert all(min_vertex <= v < n for v in found)
+            assert not mask & ~_union(cover, found)
+
+
+def _union(cover, vertices):
+    out = 0
+    for v in vertices:
+        out |= cover[v]
+    return out
 
 
 def test_witness_deterministic():
@@ -157,7 +196,7 @@ def test_search_failure_raises_under_optimize_flag():
     # error; it must say so under python -O too, not fail later on None
     code = """
 from domrat import circulant
-circulant._exists_cover = lambda *args: False
+circulant._exists_cover = lambda *args: None
 try:
     circulant.domination_number(circulant.CirculantInstance(5, [1]))
 except AssertionError as err:
@@ -168,3 +207,12 @@ except AssertionError as err:
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.startswith("raised"), out.stderr
+
+
+def test_witness_self_check(monkeypatch):
+    # with every vertex claimed to cover all of Z_n, vertex 0 alone passes
+    # the search; the check that does not read the masks must refuse it
+    monkeypatch.setattr(circulant, "_cover_masks",
+                        lambda inst: [(1 << inst.n) - 1] * inst.n)
+    with pytest.raises(CertificateError):
+        domination_number(CirculantInstance(8, [1, 2]))

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from domrat import blockdsl, stategraph, verification
+from domrat import blockdsl, circulant, stategraph, verification
 from domrat.cli import main, parse_set_literal
 from domrat.core import GeneratorSet, blocks_to_periodic, verify_dominating
 from domrat.errors import InputError
@@ -192,4 +192,12 @@ def test_failed_self_check_exits_4(capsys, monkeypatch):
     monkeypatch.setattr(stategraph, "verify_dominating", lambda u, s: False)
     code, _, err = run(capsys, "ratio", "{1,2}")
     assert code == 4
+    assert "does not dominate" in err
+
+
+def test_failed_circulant_self_check_exits_4(capsys, monkeypatch):
+    monkeypatch.setattr(circulant, "_cover_masks",
+                        lambda inst: [(1 << inst.n) - 1] * inst.n)
+    code, out, err = run(capsys, "domnum", "8", "{1,2}")
+    assert code == 4 and out == ""
     assert "does not dominate" in err
