@@ -11,10 +11,16 @@ A trailing "^inf" on the whole input is accepted and ignored, since the
 sequence is always understood as repeating infinitely in both directions.
 "(2 3)^5 7 (3 4)^2" expands to ten alternating 2- and 3-blocks, a 7-block,
 then four alternating 3- and 4-blocks.
+
+Limits: atoms and exponents are at most MAX_VALUE = 10^6, groups nest at
+most MAX_DEPTH = 200 deep, and flatten expands to at most MAX_BLOCKS = 10^6
+blocks by default.  Input past a limit is a TOO_LARGE BlockParseError, an
+InputError like every other rejection.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -32,6 +38,7 @@ TOO_LARGE = "too-large"
 
 MAX_VALUE = 10**6       # cap on atoms and exponents
 MAX_BLOCKS = 10**6      # default cap on flattened length
+MAX_DEPTH = 200         # cap on group nesting
 
 
 class BlockParseError(InputError):
@@ -70,148 +77,84 @@ def expanded_length(e: Union[BlockExpr, Term]) -> int:
     return sum(expanded_length(t) for t in e.terms)
 
 
-_TOK_INT = "int"
-_TOK_CARET = "caret"
-_TOK_LPAREN = "lparen"
-_TOK_RPAREN = "rparen"
-_TOK_INF = "inf"
+_TOKEN = re.compile(r"(\d+)|(inf)|([()^])|(\S)")
 
 
-def _tokenize(text: str) -> list[tuple[str, int, int]]:
-    """Return (kind, value, position) triples; value is 0 for non-ints."""
-    toks = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append((_TOK_INT, int(text[i:j]), i))
-            i = j
-        elif ch == "^":
-            toks.append((_TOK_CARET, 0, i))
-            i += 1
-        elif ch == "(":
-            toks.append((_TOK_LPAREN, 0, i))
-            i += 1
-        elif ch == ")":
-            toks.append((_TOK_RPAREN, 0, i))
-            i += 1
-        elif text.startswith("inf", i):
-            toks.append((_TOK_INF, 0, i))
-            i += 3
-        else:
-            raise BlockParseError(SYNTAX, i, f"unexpected character {ch!r}")
-    return toks
-
-
-class _Parser:
-    def __init__(self, toks: list[tuple[str, int, int]]):
-        self.toks = toks
-        self.pos = 0
-
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def next(self):
-        tok = self.toks[self.pos]
-        self.pos += 1
-        return tok
-
-    def _checked_atom(self, value: int, position: int) -> int:
-        if value == 0:
-            raise BlockParseError(ZERO_ATOM, position, "block size 0 is not allowed")
-        if value > MAX_VALUE:
-            raise BlockParseError(TOO_LARGE, position, f"value {value} exceeds {MAX_VALUE}")
-        return value
-
-    def _exponent(self, top: bool) -> int:
-        """Parse the part after '^'.  Returns the exponent, or -1 for a
-        legal trailing 'inf' (top level, final token)."""
-        caret_pos = self.next()[2]
-        tok = self.peek()
-        if tok is None:
-            raise BlockParseError(SYNTAX, caret_pos, "dangling '^'")
-        kind, value, position = tok
-        if kind == _TOK_INF:
-            self.next()
-            if top and self.peek() is None:
-                return -1
-            raise BlockParseError(
-                INF_PLACEMENT, position, "'^inf' is only allowed at the end of the whole input"
-            )
-        if kind != _TOK_INT:
-            raise BlockParseError(SYNTAX, position, "exponent must be an integer")
-        self.next()
-        if value == 0:
-            raise BlockParseError(ZERO_EXPONENT, position, "exponent 0 is not allowed")
-        if value > MAX_VALUE:
-            raise BlockParseError(TOO_LARGE, position, f"exponent {value} exceeds {MAX_VALUE}")
-        return value
-
-    def parse_terms(self, top: bool) -> tuple[Term, ...]:
-        terms: list[Term] = []
-        while True:
-            tok = self.peek()
-            if tok is None:
-                return tuple(terms)
-            kind, value, position = tok
-            if kind == _TOK_INT:
-                self.next()
-                atom_value = self._checked_atom(value, position)
-                exponent = 1
-                nxt = self.peek()
-                if nxt is not None and nxt[0] == _TOK_CARET:
-                    exponent = self._exponent(top)
-                    if exponent == -1:
-                        terms.append(Atom(atom_value, 1))
-                        return tuple(terms)
-                terms.append(Atom(atom_value, exponent))
-            elif kind == _TOK_LPAREN:
-                self.next()
-                inner = self.parse_terms(top=False)
-                closer = self.peek()
-                if closer is None or closer[0] != _TOK_RPAREN:
-                    raise BlockParseError(UNBALANCED_PAREN, position, "unclosed '('")
-                self.next()
-                if not inner:
-                    raise BlockParseError(SYNTAX, position, "empty group")
-                exponent = 1
-                nxt = self.peek()
-                if nxt is not None and nxt[0] == _TOK_CARET:
-                    exponent = self._exponent(top)
-                    if exponent == -1:
-                        terms.append(Group(inner, 1))
-                        return tuple(terms)
-                terms.append(Group(inner, exponent))
-            elif kind == _TOK_RPAREN:
-                if top:
-                    raise BlockParseError(UNBALANCED_PAREN, position, "stray ')'")
-                return tuple(terms)
-            elif kind == _TOK_INF:
-                raise BlockParseError(
-                    INF_PLACEMENT, position, "'inf' must follow '^' at the end of the input"
-                )
-            else:
-                raise BlockParseError(SYNTAX, position, "term expected")
+def _number(digits: str, position: int, name: str, zero_kind: str, zero_message: str) -> int:
+    try:
+        value = int(digits)
+    except ValueError:  # longer than int() converts
+        raise BlockParseError(
+            TOO_LARGE, position, f"{name} of {len(digits)} digits exceeds {MAX_VALUE}"
+        ) from None
+    if value == 0:
+        raise BlockParseError(zero_kind, position, zero_message)
+    if value > MAX_VALUE:
+        raise BlockParseError(TOO_LARGE, position, f"{name} {value} exceeds {MAX_VALUE}")
+    return value
 
 
 def parse(text: str) -> BlockExpr:
     """Parse block-structure notation into an expression tree."""
-    toks = _tokenize(text)
+    toks = []
+    for m in _TOKEN.finditer(text):
+        if m.group(4):
+            raise BlockParseError(SYNTAX, m.start(), f"unexpected character {m.group(4)!r}")
+        toks.append((m.group(), m.start()))
     if not toks:
         raise BlockParseError(EMPTY, 0, "empty input")
-    parser = _Parser(toks)
-    terms = parser.parse_terms(top=True)
-    if parser.pos != len(parser.toks):
-        kind, _, position = parser.toks[parser.pos]
-        raise BlockParseError(SYNTAX, position, "trailing input")
-    if not terms:
-        raise BlockParseError(EMPTY, 0, "no blocks")
-    return BlockExpr(terms)
+    terms: list[Term] = []
+    stack: list[tuple[list[Term], int]] = []  # enclosing terms, position of '('
+    i = 0
+    while i < len(toks):
+        tok, position = toks[i]
+        i += 1
+        if tok == "(":
+            if len(stack) == MAX_DEPTH:
+                raise BlockParseError(
+                    TOO_LARGE, position, f"groups nested deeper than {MAX_DEPTH}"
+                )
+            stack.append((terms, position))
+            terms = []
+            continue
+        if tok == ")":
+            if not stack:
+                raise BlockParseError(UNBALANCED_PAREN, position, "stray ')'")
+            outer, opened = stack.pop()
+            if not terms:
+                raise BlockParseError(SYNTAX, opened, "empty group")
+            make, arg = Group, tuple(terms)
+            terms = outer
+        elif tok == "inf":
+            raise BlockParseError(
+                INF_PLACEMENT, position, "'inf' must follow '^' at the end of the input"
+            )
+        elif tok == "^":
+            raise BlockParseError(SYNTAX, position, "term expected")
+        else:
+            make = Atom
+            arg = _number(tok, position, "value", ZERO_ATOM, "block size 0 is not allowed")
+        exponent = 1
+        if i < len(toks) and toks[i][0] == "^":
+            if i + 1 == len(toks):
+                raise BlockParseError(SYNTAX, toks[i][1], "dangling '^'")
+            tok, position = toks[i + 1]
+            i += 2
+            if tok == "inf":
+                if stack or i < len(toks):
+                    raise BlockParseError(
+                        INF_PLACEMENT, position,
+                        "'^inf' is only allowed at the end of the whole input",
+                    )
+            elif not tok.isdecimal():
+                raise BlockParseError(SYNTAX, position, "exponent must be an integer")
+            else:
+                exponent = _number(tok, position, "exponent", ZERO_EXPONENT,
+                                   "exponent 0 is not allowed")
+        terms.append(make(arg, exponent))
+    if stack:
+        raise BlockParseError(UNBALANCED_PAREN, stack[-1][1], "unclosed '('")
+    return BlockExpr(tuple(terms))
 
 
 def _expand(term: Term, out: list[int]) -> None:

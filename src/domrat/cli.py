@@ -197,9 +197,11 @@ def cmd_oracle(args) -> int:
     best = min(Fraction(g, n) for n, g in scan)
     attained = next(n for n, g in scan if Fraction(g, n) == best)
     certified = None
-    if s.c <= args.c_max:
-        cert = domination_ratio(s, c_max=args.c_max)
-        certified = args.n_limit >= cert.period
+    try:
+        certified = args.n_limit >= domination_ratio(s, c_max=args.c_max).period
+    except CapExceededError as exc:
+        if exc.what != "c":
+            raise
     if args.output_format == JSON:
         payload = {
             "set": list(s.elements),

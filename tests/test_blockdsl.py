@@ -50,30 +50,60 @@ def test_render_examples():
     assert render(BlockStructure([2, 2, 2, 5, 5, 1])) == "2^3 5^2 1"
 
 
-@pytest.mark.parametrize("text,kind", [
-    ("", blockdsl.EMPTY),
-    ("   ", blockdsl.EMPTY),
-    ("0", blockdsl.ZERO_ATOM),
-    ("2 0 3", blockdsl.ZERO_ATOM),
-    ("3^0", blockdsl.ZERO_EXPONENT),
-    ("(2 3", blockdsl.UNBALANCED_PAREN),
-    ("2 3)", blockdsl.UNBALANCED_PAREN),
-    ("(3^inf 2)", blockdsl.INF_PLACEMENT),
-    ("3^inf 4", blockdsl.INF_PLACEMENT),
-    ("inf", blockdsl.INF_PLACEMENT),
-    ("3^", blockdsl.SYNTAX),
-    ("^2", blockdsl.SYNTAX),
-    ("a 3", blockdsl.SYNTAX),
-    ("()", blockdsl.SYNTAX),
-    ("3^x", blockdsl.SYNTAX),
-    ("2000000", blockdsl.TOO_LARGE),
-    ("2^2000000", blockdsl.TOO_LARGE),
-])
-def test_parse_rejections_have_distinct_kinds(text, kind):
+DEEP = blockdsl.MAX_DEPTH
+
+REJECTIONS = [
+    ("", blockdsl.EMPTY, 0, "empty input"),
+    ("   ", blockdsl.EMPTY, 0, "empty input"),
+    ("0", blockdsl.ZERO_ATOM, 0, "block size 0 is not allowed"),
+    ("2 0 3", blockdsl.ZERO_ATOM, 2, "block size 0 is not allowed"),
+    ("3^0", blockdsl.ZERO_EXPONENT, 2, "exponent 0 is not allowed"),
+    ("(2 3", blockdsl.UNBALANCED_PAREN, 0, "unclosed '('"),
+    ("(((2", blockdsl.UNBALANCED_PAREN, 2, "unclosed '('"),
+    ("2 3)", blockdsl.UNBALANCED_PAREN, 3, "stray ')'"),
+    ("(3^inf 2)", blockdsl.INF_PLACEMENT, 3,
+     "'^inf' is only allowed at the end of the whole input"),
+    ("3^inf 4", blockdsl.INF_PLACEMENT, 2,
+     "'^inf' is only allowed at the end of the whole input"),
+    ("((2)^inf)", blockdsl.INF_PLACEMENT, 5,
+     "'^inf' is only allowed at the end of the whole input"),
+    ("inf", blockdsl.INF_PLACEMENT, 0, "'inf' must follow '^' at the end of the input"),
+    ("3^", blockdsl.SYNTAX, 1, "dangling '^'"),
+    ("^2", blockdsl.SYNTAX, 0, "term expected"),
+    ("a 3", blockdsl.SYNTAX, 0, "unexpected character 'a'"),
+    ("()", blockdsl.SYNTAX, 0, "empty group"),
+    ("3^x", blockdsl.SYNTAX, 2, "unexpected character 'x'"),
+    ("3^(2)", blockdsl.SYNTAX, 2, "exponent must be an integer"),
+    ("3²", blockdsl.SYNTAX, 1, "unexpected character '²'"),
+    ("2000000", blockdsl.TOO_LARGE, 0, "value 2000000 exceeds 1000000"),
+    ("2^2000000", blockdsl.TOO_LARGE, 2, "exponent 2000000 exceeds 1000000"),
+    ("1" * 5000, blockdsl.TOO_LARGE, 0, "value of 5000 digits exceeds 1000000"),
+    ("(" * (DEEP + 1) + "2" + ")" * (DEEP + 1), blockdsl.TOO_LARGE, DEEP,
+     f"groups nested deeper than {DEEP}"),
+]
+
+
+def _row_id(row):
+    # "<text>-<kind>", as pytest names a (text, kind) row, but short for long texts
+    text, kind = row[:2]
+    return f"{text if len(text) <= 20 else f'<{len(text)} chars>'}-{kind}"
+
+
+@pytest.mark.parametrize("text,kind,position,message", REJECTIONS,
+                         ids=[_row_id(row) for row in REJECTIONS])
+def test_parse_rejections_have_distinct_kinds(text, kind, position, message):
     with pytest.raises(BlockParseError) as err:
         parse(text)
     assert err.value.kind == kind
-    assert err.value.position >= 0
+    assert err.value.position == position
+    assert str(err.value) == f"{message} (at position {position})"
+
+
+def test_nesting_cap_is_accepted_and_safe():
+    text = "(" * DEEP + "2 3" + ")" * DEEP + "^inf"
+    e = parse(text)
+    assert e == parse(text) and repr(e).count("Group(") == DEEP
+    assert expanded_length(e) == 2 and flatten(e).sizes == (2, 3)
 
 
 def test_error_positions_point_into_text():

@@ -130,6 +130,12 @@ def test_oracle_command(capsys):
     assert code == 0 and "false (upper bound only)" in out
 
 
+def test_oracle_past_engine_limit_is_uncertified(capsys):
+    # c = 29 is under --c-max but over the engine's own limit of 28
+    code, out, _ = run(capsys, "--c-max", "40", "oracle", "{1,29}", "--n-limit", "30")
+    assert code == 0 and "certified: unknown (c exceeds cap)" in out
+
+
 def test_exit_codes(capsys):
     code, _, err = run(capsys, "ratio", "{1,0}")
     assert code == 2 and "input error" in err
@@ -145,6 +151,13 @@ def test_exit_codes(capsys):
     assert code == 2 and "input error" in err
     code, _, err = run(capsys, "blocks", "parse", "3^0")
     assert code == 2 and "position" in err
+    code, _, err = run(capsys, "blocks", "parse", "3²")
+    assert code == 2 and err.startswith("input error: ") and "(at position 1)" in err
+    deep = "(" * 600 + "3" + ")" * 600
+    for argv in (["parse", deep], ["verify", deep, "{1,5}"]):
+        code, _, err = run(capsys, "blocks", *argv)
+        assert code == 2 and err.startswith("input error: ")
+        assert f"(at position {blockdsl.MAX_DEPTH})" in err
     code, _, err = run(capsys, "ratio", "{}")
     assert code == 2
 
