@@ -86,20 +86,19 @@ def cmd_ratio(args) -> int:
         sys.stdout.write(out.getvalue())
         return 0
 
-    payloads = []
-    for s, cert in results:
-        payload = {
-            "set": list(s.elements),
-            "ratio": _fraction_json(cert.ratio),
-            "period": cert.period,
-            "witness_blocks": blockdsl.render(periodic_to_blocks(cert.witness)),
-            "cycle_states": [list(state_elements(t)) for t in cert.cycle],
-        }
-        if args.decimal:
-            payload["ratio_decimal"] = _decimal(cert.ratio)
-        payloads.append(payload)
-
     if args.output_format == JSON:
+        payloads = []
+        for s, cert in results:
+            payload = {
+                "set": list(s.elements),
+                "ratio": _fraction_json(cert.ratio),
+                "period": cert.period,
+                "witness_blocks": blockdsl.render(periodic_to_blocks(cert.witness)),
+                "cycle_states": [list(state_elements(t)) for t in cert.cycle],
+            }
+            if args.decimal:
+                payload["ratio_decimal"] = _decimal(cert.ratio)
+            payloads.append(payload)
         _emit_json(payloads[0] if len(payloads) == 1 else payloads)
         return 0
 

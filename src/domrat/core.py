@@ -163,18 +163,15 @@ def periodic_to_blocks(u: PeriodicSet) -> BlockStructure:
 def verify_dominating(u: PeriodicSet, s: GeneratorSet) -> bool:
     """Decide whether the periodic set dominates the digraph generated by s.
 
-    By periodicity it is enough to check one period window: every j in
-    [1, p] must be in the set or have some j - step in it.  Membership of
-    arbitrary integers reduces mod p, which is exactly the periodic lift.
+    By periodicity it is enough that the positions the residues dominate,
+    r + step for step in {0} union S taken mod p, fill all p residues.  Each
+    residue dominates at most |S| + 1 of them, so a longer period fails at
+    once, and the cost follows the number of residues, not the period.
     """
     p = u.period
-    res = u.residues
-    for j in range(1, p + 1):
-        if j in res:
-            continue
-        if not any((j - step - 1) % p + 1 in res for step in s):
-            return False
-    return True
+    if p > len(u.residues) * (len(s) + 1):
+        return False
+    return len({(r + d) % p for r in u.residues for d in (0, *s)}) == p
 
 
 def coverage_counts(u: PeriodicSet, s: GeneratorSet) -> list[int]:

@@ -42,9 +42,11 @@ position twice on its own and
 
     uncovered(T) == covers(T')
 
-(the ratio path needs only the subset).  Each state free of double
-coverage is then an edge covers(T) -> uncovered(T) between coverage masks,
-and any cycle of masks lifts to a cycle of states, i.e. a periodic witness.
+(the ratio path needs only the subset).  For a state free of double
+coverage, covers(T) determines T (see eds_exists), so each state has at
+most one exact successor: exact transitions form a functional graph, and a
+periodic witness is a cycle found by following successors, one array
+lookup a step.
 """
 
 from __future__ import annotations
@@ -554,6 +556,19 @@ def eds_exists(s: GeneratorSet,
     Transitions are restricted to pairs covering each window position
     exactly once; such a set exists iff the restricted relation has a
     cycle, and any cycle unrolls into a periodic witness.
+
+    The restricted relation is a function, as tilings of Z are forced from
+    left to right (D. J. Newman, "Tesselation of integers", 1977).  Take T
+    with no window position covered twice.  A member x of T (an element of
+    [1, c]) sits at x + c in the shifted copy and dominates x + c - b = x + a
+    (by step -b, or step 0 when b = 0), its lowest window position; so
+    min covers(T) = min T + a.  Peeling that member's positions off
+    covers(T) leaves covers of the rest of T, since no position is covered
+    twice, and repeating recovers T.  So covers(T) determines T, and T has
+    at most one exact successor: the state whose covers mask equals
+    uncovered(T).  Walking from each state in ascending-covers order, the
+    first walk to re-enter itself gives the cycle, started where it
+    re-enters.
     """
     g = build_state_graph(s, c_max=c_max)
     c = g.c
@@ -570,58 +585,26 @@ def eds_exists(s: GeneratorSet,
         return twice
 
     single = ((covered_twice(v) | covered_twice(v << c)) & window) == 0
-    states = np.nonzero(single)[0]
+    states = np.flatnonzero(single)
+    states = states[np.argsort(g.covers[states])]  # distinct covers, see above
+    keys, want = g.covers[states], g.uncovered[states]
+    found = np.searchsorted(keys, want)
+    succ = np.where(keys.take(found, mode="clip") == want, found, -1).tolist()
 
-    # quotient graph on coverage masks: each state T is one edge
-    # covers(T) -> uncovered(T); any cycle there lifts to a state cycle.
-    # Built from the sorted triples, so the keys and each successor list are
-    # ascending: _find_meta_cycle searches in that order
-    adjacency: dict[int, list[int]] = {}
-    lift: dict[tuple[int, int], int] = {}
-    for frm, to, st in sorted(zip(g.covers[states].tolist(),
-                                  g.uncovered[states].tolist(), states.tolist())):
-        key = (frm, to)
-        if key not in lift:
-            lift[key] = st
-            adjacency.setdefault(frm, []).append(to)
-
-    meta_cycle = _find_meta_cycle(adjacency)
-    if meta_cycle is None:
+    walk = [-1] * len(succ)  # the start of the walk that reached each state
+    for start in range(len(succ)):
+        u = start
+        while u >= 0 and walk[u] < 0:
+            walk[u] = start
+            u = succ[u]
+        if u >= 0 and walk[u] == start:
+            break
+    else:
         return False, None
-    length = len(meta_cycle)
-    cycle_states = [lift[(meta_cycle[i], meta_cycle[(i + 1) % length])]
-                    for i in range(length)]
-    witness = _unroll(cycle_states, c)
+    cycle = [u]
+    while (u := succ[u]) != cycle[0]:
+        cycle.append(u)
+    witness = _unroll(states[cycle].tolist(), c)
     if any(k != 1 for k in coverage_counts(witness, s)):
         raise CertificateError(f"EDS witness does not cover exactly once for {s}")
     return True, witness
-
-
-def _find_meta_cycle(adjacency: dict[int, list[int]]) -> list[int] | None:
-    color: dict[int, int] = {}
-    for start in adjacency:
-        if color.get(start):
-            continue
-        path = [start]
-        color[start] = 1
-        stack = [(start, iter(adjacency[start]))]
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nb in it:
-                if nb not in adjacency:
-                    continue  # dead end, cannot close a cycle
-                col = color.get(nb, 0)
-                if col == 1:
-                    return path[path.index(nb):]
-                if col == 0:
-                    color[nb] = 1
-                    path.append(nb)
-                    stack.append((nb, iter(adjacency[nb])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = 2
-                path.pop()
-                stack.pop()
-    return None

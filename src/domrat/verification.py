@@ -25,7 +25,7 @@ from .core import (
     coverage_counts,
     verify_dominating,
 )
-from .errors import InputError
+from .errors import CapExceededError, InputError
 from .formulas import (
     Family,
     circulant_known,
@@ -62,9 +62,9 @@ class Row:
 
 @dataclass
 class _Context:
-    c_max: int = DEFAULT_C_MAX
-    n_max: int = DEFAULT_N_MAX
-    cases: int = DEFAULT_CASES
+    c_max: int
+    n_max: int
+    cases: int
     _ratio_memo: dict = field(default_factory=dict)
 
     def ratio(self, s: GeneratorSet) -> RatioCertificate:
@@ -84,6 +84,17 @@ def _skip(criterion, label, detail):
     return Row(criterion, label, "SKIP", detail)
 
 
+def _checked(criterion, label, check, *args):
+    """The row of check(*args) -> (ok, detail), a SKIP when ok is None.  An
+    engine that refuses the instance for a cap skips the row too, so rows
+    skip at exactly the engines' caps."""
+    try:
+        ok, detail = check(*args)
+    except CapExceededError as exc:
+        return _skip(criterion, label, f"{exc.what}={exc.value} above cap {exc.cap}")
+    return _skip(criterion, label, detail) if ok is None else _row(criterion, label, ok, detail)
+
+
 def _one_s_sets(lo, hi):
     for s in range(lo, hi + 1):
         if s in (0, 1):
@@ -91,76 +102,63 @@ def _one_s_sets(lo, hi):
         yield s, GeneratorSet([1, s])
 
 
+# the sets whose certificates criteria 7 and 8 check
+_PERIOD_SETS = ([gs for _, gs in _one_s_sets(-12, 14)]
+                + [GeneratorSet([s, t]) for s, t in DIVIDING_PAIRS])
+
+
 def _crit1(ctx):
+    def check(s, gs):
+        got, want = ctx.ratio(gs).ratio, ratio_one_s(s)
+        return got == want, f"got {got}, formula {want}"
+
     for s, gs in _one_s_sets(-12, 14):
-        label = f"ratio {{1,{s}}}"
-        if gs.c > ctx.c_max:
-            yield _skip(1, label, f"c={gs.c} above cap {ctx.c_max}")
-            continue
-        got = ctx.ratio(gs).ratio
-        want = ratio_one_s(s)
-        yield _row(1, label, got == want, f"got {got}, formula {want}")
+        yield _checked(1, f"ratio {{1,{s}}}", check, s, gs)
 
 
 def _crit2(ctx):
+    def check(s, t):
+        got, want = ctx.ratio(GeneratorSet([s, t])).ratio, ratio_pair_dividing(s, t)
+        return got == want, f"got {got}, formula {want}"
+
     for s, t in DIVIDING_PAIRS:
-        gs = GeneratorSet([s, t])
-        label = f"ratio {{{s},{t}}}"
-        if gs.c > ctx.c_max:
-            yield _skip(2, label, f"c={gs.c} above cap {ctx.c_max}")
-            continue
-        got = ctx.ratio(gs).ratio
-        want = ratio_pair_dividing(s, t)
-        yield _row(2, label, got == want, f"got {got}, formula {want}")
+        yield _checked(2, f"ratio {{{s},{t}}}", check, s, t)
 
 
 def _crit3(ctx):
-    sets = [(s, t) for s, t in DIVIDING_PAIRS]
-    sets += [(1, s) for s in range(-10, 12) if s not in (0, 1)]
-    for s, t in sets:
+    def check(s, t):
         gs = GeneratorSet([s, t])
-        label = f"eds {{{s},{t}}}"
-        if gs.c > ctx.c_max:
-            yield _skip(3, label, f"c={gs.c} above cap {ctx.c_max}")
-            continue
         exists, witness = eds_exists(gs, c_max=ctx.c_max)
         want = eds_predicted(s, t)
         if exists != want:
-            yield _row(3, label, False, f"got {exists}, predicted {want}")
-            continue
-        if exists:
-            counts = coverage_counts(witness, gs)
-            ok = all(k == 1 for k in counts)
-            yield _row(3, label, ok, f"witness period {witness.period}, all counts 1: {ok}")
-        else:
-            yield _row(3, label, True, "no efficient dominating set, as predicted")
+            return False, f"got {exists}, predicted {want}"
+        if not exists:
+            return True, "no efficient dominating set, as predicted"
+        ok = all(k == 1 for k in coverage_counts(witness, gs))
+        return ok, f"witness period {witness.period}, all counts 1: {ok}"
+
+    for s, t in DIVIDING_PAIRS + [(1, s) for s in range(-10, 12) if s not in (0, 1)]:
+        yield _checked(3, f"eds {{{s},{t}}}", check, s, t)
+
+
+def _gamma_check(ctx, inst, want):
+    gamma, _ = domination_number(inst, n_max=ctx.n_max)
+    return gamma == want, f"got {gamma}, expected {want}"
 
 
 def _crit4(ctx):
     for k in range(1, 9):
         n = 3 * k + 2
-        label = f"gamma(Z_{n},{{1,2}})"
-        if n > ctx.n_max:
-            yield _skip(4, label, f"n={n} above cap {ctx.n_max}")
-            continue
-        gamma, _ = domination_number(residues(GeneratorSet([1, 2]), n), n_max=ctx.n_max)
-        yield _row(4, label, gamma == k + 1, f"got {gamma}, expected {k + 1}")
+        yield _checked(4, f"gamma(Z_{n},{{1,2}})", _gamma_check, ctx,
+                       residues(GeneratorSet([1, 2]), n), k + 1)
     for k in range(1, 5):
         n = 6 * k - 1
-        label = f"gamma(Z_{n},{{1,{3 * k}}})"
-        if n > ctx.n_max:
-            yield _skip(4, label, f"n={n} above cap {ctx.n_max}")
-            continue
-        gamma, _ = domination_number(residues(GeneratorSet([1, 3 * k]), n), n_max=ctx.n_max)
-        yield _row(4, label, gamma == 2 * k, f"got {gamma}, expected {2 * k}")
+        yield _checked(4, f"gamma(Z_{n},{{1,{3 * k}}})", _gamma_check, ctx,
+                       residues(GeneratorSet([1, 3 * k]), n), 2 * k)
 
 
 def _crit5(ctx):
-    for n in range(2, 16):
-        label = f"consecutive steps, n={n}"
-        if n > ctx.n_max:
-            yield _skip(5, label, f"n={n} above cap {ctx.n_max}")
-            continue
+    def check(n):
         bad = []
         for s in range(1, n):
             gamma, _ = domination_number(CirculantInstance(n, range(1, s + 1)),
@@ -168,19 +166,17 @@ def _crit5(ctx):
             want = circulant_known(n, Family.CIRCULANT_CONSECUTIVE, s)
             if gamma != want:
                 bad.append((s, gamma, want))
-        yield _row(5, label, not bad, f"all s in [1,{n - 1}]" if not bad else str(bad))
+        return not bad, f"all s in [1,{n - 1}]" if not bad else str(bad)
+
+    for n in range(2, 16):
+        yield _checked(5, f"consecutive steps, n={n}", check, n)
 
 
 def _crit6(ctx):
     for n in range(7, 23):
-        label = f"gamma(Z_{n},{{+-1,+-3}})"
-        if n > ctx.n_max:
-            yield _skip(6, label, f"n={n} above cap {ctx.n_max}")
-            continue
-        inst = residues(GeneratorSet([1, -1, 3, -3]), n)
-        gamma, _ = domination_number(inst, n_max=ctx.n_max)
-        want = circulant_known(n, Family.CIRCULANT_PM13)
-        yield _row(6, label, gamma == want, f"got {gamma}, expected {want}")
+        yield _checked(6, f"gamma(Z_{n},{{+-1,+-3}})", _gamma_check, ctx,
+                       residues(GeneratorSet([1, -1, 3, -3]), n),
+                       circulant_known(n, Family.CIRCULANT_PM13))
 
 
 def _crit7(ctx):
@@ -188,29 +184,24 @@ def _crit7(ctx):
     # {-6,1}, {1,7}) take about 0.6 s in all on the circulant solver, so the
     # cap is at least 56.  The next period, 60 for {-9,3}, takes about 46 s.
     cap = max(ctx.n_max, 56)
-    sets = [gs for _, gs in _one_s_sets(-12, 14)]
-    sets += [GeneratorSet([s, t]) for s, t in DIVIDING_PAIRS]
-    for gs in sets:
-        label = f"period identity {gs}"
-        if gs.c > ctx.c_max:
-            yield _skip(7, label, f"c={gs.c} above cap {ctx.c_max}")
-            continue
+
+    def check(gs):
         cert = ctx.ratio(gs)
         p = cert.period
         if p > cap:
-            yield _skip(7, label, f"period {p} above circulant cap {cap}")
-            continue
+            return None, f"period {p} above circulant cap {cap}"
         gamma, _ = domination_number(residues(gs, p), n_max=cap)
         want = cert.ratio * p
-        yield _row(7, label, gamma == want,
-                   f"gamma(Z_{p})={gamma}, ratio*p={want}")
+        return gamma == want, f"gamma(Z_{p})={gamma}, ratio*p={want}"
+
+    for gs in _PERIOD_SETS:
+        yield _checked(7, f"period identity {gs}", check, gs)
 
 
 def _crit8(ctx):
     worst = None
     count = 0
-    for gs in [g for _, g in _one_s_sets(-12, 14)] + \
-              [GeneratorSet([s, t]) for s, t in DIVIDING_PAIRS]:
+    for gs in _PERIOD_SETS:
         if gs.c > ctx.c_max:
             continue
         cert = ctx.ratio(gs)

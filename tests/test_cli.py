@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -113,6 +117,17 @@ def test_blocks_commands(capsys):
     assert code == 0 and out.strip() == "false"
 
 
+def test_blocks_verify_long_period_answers_at_once():
+    # period 10^9 with 1000 members: too few to dominate, which the
+    # check must see from the member count, not by walking the period
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-m", "domrat", "blocks", "verify",
+                          "1000000^1000", "{1}"], env=env,
+                         capture_output=True, text=True, timeout=30)
+    assert out.returncode == 0 and out.stdout == "false\n", out.stderr
+
+
 def test_blocks_verify_needs_set(capsys):
     code, _, err = run(capsys, "blocks", "verify", "(3)")
     assert code == 2
@@ -190,6 +205,19 @@ def test_verify_paper_small(capsys):
     assert code == 0
     assert "SKIP" in out and "FAIL" not in out
     assert "0 failed" in out
+
+
+def test_verify_paper_rows_skip_at_engine_caps(monkeypatch):
+    # the engines' caps decide, C_LIMIT included: with it lowered to 5,
+    # rows that c_max = 16 allows still skip instead of raising
+    monkeypatch.setattr(stategraph, "C_LIMIT", 5)
+    rows = verification.run_verification(n_max=12, cases=1, criteria={1, 3, 4})
+    got = {r.label: (r.status, r.detail) for r in rows}
+    assert got["ratio {1,6}"] == ("SKIP", "c=6 above cap 5")
+    assert got["eds {1,-5}"] == ("SKIP", "c=6 above cap 5")
+    assert got["gamma(Z_14,{1,2})"] == ("SKIP", "n=14 above cap 12")
+    assert got["ratio {1,5}"][0] == got["eds {1,5}"][0] == "PASS"
+    assert not any(r.status == "FAIL" for r in rows)
 
 
 def test_verify_paper_detects_corruption(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -100,6 +101,16 @@ def test_verify_dominating_empty_generators():
     everything = PeriodicSet(1, {1})
     assert verify_dominating(everything, GeneratorSet([]))
     assert not verify_dominating(PeriodicSet(2, {1}), GeneratorSet([]))
+
+
+def test_verify_dominating_matches_coverage_counts():
+    rng = random.Random(7)
+    pool = [x for x in range(-9, 10) if x]
+    for _ in range(2000):
+        p = rng.randint(1, 30)
+        u = PeriodicSet(p, rng.sample(range(1, p + 1), rng.randint(0, p)))
+        s = GeneratorSet(rng.sample(pool, rng.randint(0, 4)))
+        assert verify_dominating(u, s) == (min(coverage_counts(u, s)) >= 1), (u, s)
 
 
 def test_coverage_counts():

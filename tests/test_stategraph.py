@@ -636,6 +636,18 @@ def test_eds_examples():
     assert all(k == 1 for k in coverage_counts(witness, GeneratorSet([2, 4])))
 
 
+@pytest.mark.parametrize("els, period, residues", [
+    ([1, 5], 15, {3, 6, 9, 12, 15}),
+    ([2, 4], 12, {5, 6, 11, 12}),
+    ([-7, -4, 5], 24, {6, 8, 14, 16, 22, 24}),
+])
+def test_eds_witness_is_the_first_cycle_in_covers_order(els, period, residues):
+    # the witness unrolls the first walk, in ascending-covers order of its
+    # start, that closes a cycle
+    exists, witness = eds_exists(GeneratorSet(els))
+    assert exists and witness == PeriodicSet(period, residues)
+
+
 def test_eds_ratio_link():
     # an exact cover forces the ratio down to 1/(|S|+1)
     for els in [[1, 5], [2, 4], [1, 2], [1, -1]]:
@@ -670,12 +682,26 @@ def _has_cycle(edges):
         live = kept
 
 
-def test_eds_matches_naive_exact_transitions():
+@pytest.fixture(scope="module")
+def small_exact_transitions():
+    """Every set from +-5 with c <= 6, with its exact transitions."""
     pool = [x for x in range(-5, 6) if x]
     sets = [GeneratorSet(els) for k in range(1, len(pool) + 1)
             for els in combinations(pool, k)]
-    for s in (s for s in sets if s.c <= 6):
-        exact = set(exact_transitions_naive(s))
+    return [(s, set(exact_transitions_naive(s))) for s in sets if s.c <= 6]
+
+
+def test_exact_transitions_are_a_function(small_exact_transitions):
+    # the lemma eds_exists rests on, checked on the direct window definition:
+    # no state has two exact successors
+    assert len(small_exact_transitions) == 191
+    for s, exact in small_exact_transitions:
+        tails = [t for t, _ in exact]
+        assert len(tails) == len(set(tails)), s
+
+
+def test_eds_matches_naive_exact_transitions(small_exact_transitions):
+    for s, exact in small_exact_transitions:
         exists, witness = eds_exists(s)
         assert exists == _has_cycle(exact), s
         if exists:
