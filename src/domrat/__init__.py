@@ -27,8 +27,9 @@ from .core import (
 )
 from .errors import CapExceededError, DomratError, InputError, ZeroResidueError
 from .formulas import (
-    Family,
-    circulant_known,
+    circulant_consecutive,
+    circulant_one_s,
+    circulant_pm13,
     cong_family,
     eds_predicted,
     ratio_one_s,
@@ -54,7 +55,6 @@ __all__ = [
     "CapExceededError",
     "CirculantInstance",
     "DomratError",
-    "Family",
     "GeneratorSet",
     "InputError",
     "PeriodicSet",
@@ -63,7 +63,9 @@ __all__ = [
     "ZeroResidueError",
     "blocks_to_periodic",
     "build_state_graph",
-    "circulant_known",
+    "circulant_consecutive",
+    "circulant_one_s",
+    "circulant_pm13",
     "cong_family",
     "coverage_counts",
     "domination_number",

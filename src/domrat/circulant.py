@@ -197,9 +197,7 @@ def oracle_scan(s: GeneratorSet, n_limit: int,
     if n_limit < start:
         raise InputError(f"n_limit {n_limit} below smallest usable modulus {start}")
     out = []
-    for n in range(start, n_limit + 1):
-        if any(x % n == 0 for x in s):
-            continue
+    for n in range(start, n_limit + 1):  # n > max|x|, so no generator is 0 mod n
         gamma, _ = domination_number(residues(s, n), n_max=n_max)
         out.append((n, gamma))
     return out

@@ -60,16 +60,10 @@ def _emit_json(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=False))
 
 
-def _require_nonempty(s: GeneratorSet) -> GeneratorSet:
-    if not s.elements:
-        raise InputError("generator set must be nonempty for this command")
-    return s
-
-
 def cmd_ratio(args) -> int:
     results = []
     for text in args.set:
-        s = _require_nonempty(parse_set_literal(text))
+        s = parse_set_literal(text)
         cert = domination_ratio(s, c_max=args.c_max)
         results.append((s, cert))
 
@@ -137,7 +131,7 @@ def cmd_domnum(args) -> int:
 
 
 def cmd_eds(args) -> int:
-    s = _require_nonempty(parse_set_literal(args.set))
+    s = parse_set_literal(args.set)
     exists, witness = eds_exists(s, c_max=args.c_max)
     blocks = blockdsl.render(periodic_to_blocks(witness)) if exists else None
     if args.output_format == JSON:
@@ -191,7 +185,7 @@ def cmd_blocks(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    s = _require_nonempty(parse_set_literal(args.set))
+    s = parse_set_literal(args.set)
     scan = oracle_scan(s, args.n_limit, n_max=args.n_max)
     best = min(Fraction(g, n) for n, g in scan)
     attained = next(n for n, g in scan if Fraction(g, n) == best)

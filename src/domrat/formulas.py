@@ -8,18 +8,11 @@ never with language-level remainders of possibly surprising sign.
 
 from __future__ import annotations
 
-from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .core import GeneratorSet
 from .errors import InputError
-
-
-class Family(Enum):
-    ONE_S = "one-s"
-    CIRCULANT_CONSECUTIVE = "circulant-consecutive"
-    CIRCULANT_PM13 = "circulant-pm13"
 
 
 def _ceil_div(n: int, d: int) -> int:
@@ -74,28 +67,29 @@ def eds_predicted(s: int, t: int) -> bool:
     return _check_dividing_pair(s, t) % 3 == 2
 
 
-def circulant_known(n: int, family: Family, s: Optional[int] = None) -> Optional[int]:
-    """Known exact domination numbers of circulant digraphs.
+def circulant_consecutive(n: int, s: int) -> int:
+    """gamma(Z_n, {1, ..., s}) = ceil(n/(s+1)) for 1 <= s <= n-1."""
+    if not 1 <= s <= n - 1:
+        raise InputError(f"consecutive family needs 1 <= s <= n-1, got n={n}, s={s}")
+    return _ceil_div(n, s + 1)
 
-    Returns None where only bounds are known (see the bounds helpers).
-    """
-    if n < 1:
-        raise InputError(f"modulus must be positive, got {n}")
-    if family is Family.CIRCULANT_CONSECUTIVE:
-        if s is None or not 1 <= s <= n - 1:
-            raise InputError(f"consecutive family needs 1 <= s <= n-1, got s={s}")
-        return _ceil_div(n, s + 1)
-    if family is Family.CIRCULANT_PM13:
-        if n < 7:
-            raise InputError(f"undirected {{1,3}} family needs n >= 7, got {n}")
-        return _ceil_div(n, 5) + (1 if n % 5 == 4 else 0)
-    if family is Family.ONE_S:
-        if s is None or not 1 < s < n:
-            raise InputError(f"{{1,s}} family needs 1 < s < n, got s={s}")
-        if s % 3 == 0 and n == 2 * s - 1:
-            return 2 * (s // 3)  # n = 6k-1 and s = 3k give exactly 2k
-        return None
-    raise InputError(f"no circulant closed form for family {family}")
+
+def circulant_pm13(n: int) -> int:
+    """gamma(Z_n, {+-1, +-3}) for n >= 7: ceil(n/5), plus 1 when n = 4 mod 5."""
+    if n < 7:
+        raise InputError(f"undirected {{1,3}} family needs n >= 7, got {n}")
+    return _ceil_div(n, 5) + (1 if n % 5 == 4 else 0)
+
+
+def circulant_one_s(n: int, s: int) -> Optional[int]:
+    """gamma(Z_n, {1, s}) for 1 < s < n where it is known exactly: 2k at
+    n = 6k-1, s = 3k.  None where only bounds are known (see
+    circulant_bounds_one_s)."""
+    if not 1 < s < n:
+        raise InputError(f"{{1,s}} family needs 1 < s < n, got n={n}, s={s}")
+    if s % 3 == 0 and n == 2 * s - 1:
+        return 2 * (s // 3)
+    return None
 
 
 def circulant_bounds_one_s(n: int, s: int) -> tuple[int, int]:

@@ -60,8 +60,9 @@ from .core import GeneratorSet, PeriodicSet, coverage_counts, verify_dominating
 from .errors import CapExceededError, CertificateError, InputError
 
 DEFAULT_C_MAX = 16
-# largest c the engine represents, whatever c_max says: the cycle scan packs
-# (cycle length, total weight) into one int64, which fits for c <= 28
+# largest c the engine represents, whatever c_max says: threshold rounds pack
+# (value, state) into one int64 under the key _INF = 2^61, and a state with
+# no predecessor stays above every value only for c <= 28 (see _INF)
 C_LIMIT = 28
 
 
@@ -193,14 +194,16 @@ class _ThresholdResult:
     cycle: list[int] | None = None  # a cycle of that mean, in edge order
 
 
-def _scan_pred_cycles(pred: np.ndarray, weights: np.ndarray, mu: Fraction,
+def _scan_pred_cycles(pred: np.ndarray, weights: np.ndarray,
                       nxt: np.ndarray, pos: np.ndarray) -> tuple[Fraction, int] | None:
-    """Smallest mean below mu among the predecessor-pointer cycles, with the
-    smallest node of one such cycle; or None.
+    """Smallest mean among the predecessor-pointer cycles, with the smallest
+    node of the shortest such cycle whose smallest node is least; or None
+    when there is no pointer cycle.
 
     Predecessor edges are real graph edges, so any pointer cycle is a real
     cycle; pointers are only (re)assigned on strict improvement, which makes
-    every pointer cycle strictly negative for the current threshold.
+    every pointer cycle strictly negative for the current threshold, so
+    every mean found is below it (_test_threshold checks that).
 
     The cycle nodes are the fixpoint image of the pointer map, nodes without
     a pointer being sinks.  D starts as the image of pred over the nodes with
@@ -238,29 +241,20 @@ def _scan_pred_cycles(pred: np.ndarray, weights: np.ndarray, mu: Fraction,
     while not np.array_equal(lower := np.minimum(lo, lo[step]), lo):
         lo, step = lower, step[step]
 
-    # per label, (length << shift) + total weight of the cycle's nodes;
-    # below 2^63 while 2c + 1 + bit_length(c) <= 63, i.e. c <= 28
-    shift = (n * int(weights.max())).bit_length()
-    if n.bit_length() + shift > 63:
-        raise CapExceededError("cycle-scan packing bits", n.bit_length() + shift, 63)
-    stats = np.zeros(m, dtype=np.int64)
-    np.add.at(stats, lo, weights[d] + (1 << shift))
-    heads = np.flatnonzero(stats)
-    found = stats[heads]
+    # length and total weight of each cycle, at its label
+    length = np.bincount(lo, minlength=m)
+    heads = np.flatnonzero(length)  # ascending, as their smallest nodes
+    total = np.zeros(m, dtype=np.int64)
+    np.add.at(total, lo, weights[d])
+    length, total = length[heads], total[heads]
 
     # smallest total per cycle length; disjoint cycles have fewer than
     # sqrt(2m) distinct lengths, so few Fractions are built
-    low = (1 << shift) - 1
-    by_length = np.full(m, low + 1, dtype=np.int64)
-    np.minimum.at(by_length, (found >> shift) - 1, found & low)
-    best = None
-    for i in np.flatnonzero(by_length <= low).tolist():
-        mean = Fraction(int(by_length[i]), i + 1)
-        if mean < mu and (best is None or mean < best):
-            best, key = mean, ((i + 1) << shift) + int(by_length[i])
-    if best is None:
-        return None
-    return best, int(d[heads[np.argmax(found == key)]])
+    by_length = np.full(m + 1, _INF, dtype=np.int64)  # totals stay below c*2^c
+    np.minimum.at(by_length, length, total)
+    best, k = min((Fraction(int(by_length[k]), k), k)
+                  for k in np.flatnonzero(by_length < _INF).tolist())
+    return best, int(d[heads[np.argmax((length == k) & (total == by_length[k]))]])
 
 
 def _lower_supermasks(t: np.ndarray, masks: np.ndarray, keys: np.ndarray,
@@ -380,9 +374,11 @@ def _test_threshold(uncovered: np.ndarray, covers: np.ndarray,
             front = None  # too many supermasks could fall: the next round is full
         if rnd & (rnd - 1) == 0 or rnd == n + 1:
             # gval and cand are dead until the next round
-            found = _scan_pred_cycles(pred, weights, mu, gval, cand)
+            found = _scan_pred_cycles(pred, weights, gval, cand)
             if found is not None:
                 mean, node = found
+                if mean >= mu:  # not an assert: it must hold under python -O
+                    raise AssertionError(f"pointer cycle of mean {mean} not below {mu}")
                 cycle = [node]  # pred points backwards along the cycle
                 while (v := int(pred[cycle[-1]])) != node:
                     cycle.append(v)
@@ -417,9 +413,7 @@ def _cycle_nodes(uncovered, covers, y, tgt, n, c) -> np.ndarray:
         if np.array_equal(new_active, active):
             break
         active = new_active
-    if not active.any():
-        raise AssertionError("tight subgraph lost all cycles")
-    return np.nonzero(active)[0]
+    return np.nonzero(active)[0]  # empty only if broken; _canonical_cycle raises
 
 
 def _canonical_cycle(uncovered, covers, weights, n, c, mu: Fraction,

@@ -27,8 +27,9 @@ from .core import (
 )
 from .errors import CapExceededError, InputError
 from .formulas import (
-    Family,
-    circulant_known,
+    circulant_consecutive,
+    circulant_one_s,
+    circulant_pm13,
     cong_family,
     eds_predicted,
     ratio_one_s,
@@ -60,12 +61,23 @@ class Row:
     detail: str = ""
 
 
+# The circulant solver's cap in the cross-checks of criteria 7 and 10.  The
+# 7 period-identity rows with periods 33..56 ({-10,1}, {1,11}, {2,8}, {-6,2},
+# {1,14}, {-6,1}, {1,7}) take about 0.6 s in all on the solver, so the cap is
+# at least 56.  The next period, 60 for {-9,3}, takes about 46 s.
+CROSS_CHECK_N_MAX = 56
+
+
 @dataclass
 class _Context:
     c_max: int
     n_max: int
     cases: int
     _ratio_memo: dict = field(default_factory=dict)
+
+    @property
+    def cross_n_max(self) -> int:
+        return max(self.n_max, CROSS_CHECK_N_MAX)
 
     def ratio(self, s: GeneratorSet) -> RatioCertificate:
         key = s.elements
@@ -80,10 +92,6 @@ def _row(criterion, label, ok, detail=""):
     return Row(criterion, label, "PASS" if ok else "FAIL", detail)
 
 
-def _skip(criterion, label, detail):
-    return Row(criterion, label, "SKIP", detail)
-
-
 def _checked(criterion, label, check, *args):
     """The row of check(*args) -> (ok, detail), a SKIP when ok is None.  An
     engine that refuses the instance for a cap skips the row too, so rows
@@ -91,8 +99,10 @@ def _checked(criterion, label, check, *args):
     try:
         ok, detail = check(*args)
     except CapExceededError as exc:
-        return _skip(criterion, label, f"{exc.what}={exc.value} above cap {exc.cap}")
-    return _skip(criterion, label, detail) if ok is None else _row(criterion, label, ok, detail)
+        ok, detail = None, f"{exc.what}={exc.value} above cap {exc.cap}"
+    if ok is None:
+        return Row(criterion, label, "SKIP", detail)
+    return _row(criterion, label, ok, detail)
 
 
 def _one_s_sets(lo, hi):
@@ -150,11 +160,11 @@ def _crit4(ctx):
     for k in range(1, 9):
         n = 3 * k + 2
         yield _checked(4, f"gamma(Z_{n},{{1,2}})", _gamma_check, ctx,
-                       residues(GeneratorSet([1, 2]), n), k + 1)
+                       residues(GeneratorSet([1, 2]), n), circulant_consecutive(n, 2))
     for k in range(1, 5):
-        n = 6 * k - 1
-        yield _checked(4, f"gamma(Z_{n},{{1,{3 * k}}})", _gamma_check, ctx,
-                       residues(GeneratorSet([1, 3 * k]), n), 2 * k)
+        n, s = 6 * k - 1, 3 * k
+        yield _checked(4, f"gamma(Z_{n},{{1,{s}}})", _gamma_check, ctx,
+                       residues(GeneratorSet([1, s]), n), circulant_one_s(n, s))
 
 
 def _crit5(ctx):
@@ -163,7 +173,7 @@ def _crit5(ctx):
         for s in range(1, n):
             gamma, _ = domination_number(CirculantInstance(n, range(1, s + 1)),
                                          n_max=ctx.n_max)
-            want = circulant_known(n, Family.CIRCULANT_CONSECUTIVE, s)
+            want = circulant_consecutive(n, s)
             if gamma != want:
                 bad.append((s, gamma, want))
         return not bad, f"all s in [1,{n - 1}]" if not bad else str(bad)
@@ -176,14 +186,11 @@ def _crit6(ctx):
     for n in range(7, 23):
         yield _checked(6, f"gamma(Z_{n},{{+-1,+-3}})", _gamma_check, ctx,
                        residues(GeneratorSet([1, -1, 3, -3]), n),
-                       circulant_known(n, Family.CIRCULANT_PM13))
+                       circulant_pm13(n))
 
 
 def _crit7(ctx):
-    # The 7 rows with periods 33..56 ({-10,1}, {1,11}, {2,8}, {-6,2}, {1,14},
-    # {-6,1}, {1,7}) take about 0.6 s in all on the circulant solver, so the
-    # cap is at least 56.  The next period, 60 for {-9,3}, takes about 46 s.
-    cap = max(ctx.n_max, 56)
+    cap = ctx.cross_n_max
 
     def check(gs):
         cert = ctx.ratio(gs)
@@ -276,21 +283,15 @@ def _crit9(ctx):
 
 
 def _crit10(ctx):
+    def check(gs):
+        cert = ctx.ratio(gs)
+        limit = max(cert.period, max(abs(x) for x in gs) + 1)
+        got = ratio_oracle(gs, limit, n_max=ctx.cross_n_max)
+        return got == cert.ratio, f"oracle {got} at n_limit {limit}, engine {cert.ratio}"
+
     for els in ORACLE_SETS:
         gs = GeneratorSet(els)
-        label = f"oracle cross-check {gs}"
-        if gs.c > min(8, ctx.c_max):
-            yield _skip(10, label, f"c={gs.c} above cap")
-            continue
-        cert = ctx.ratio(gs)
-        limit = max(cert.period, max(abs(x) for x in els) + 1)
-        cap = max(ctx.n_max, limit)
-        if limit > 45:
-            yield _skip(10, label, f"period {cert.period} too large for the scan")
-            continue
-        got = ratio_oracle(gs, limit, n_max=cap)
-        yield _row(10, label, got == cert.ratio,
-                   f"oracle {got} at n_limit {limit}, engine {cert.ratio}")
+        yield _checked(10, f"oracle cross-check {gs}", check, gs)
 
 
 def _crit11(ctx):

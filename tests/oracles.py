@@ -156,14 +156,14 @@ def pointer_cycles(pred, starts=None):
     return cycles
 
 
-def pred_cycle_mean_naive(pred, weights, mu, starts=None):
-    """Smallest mean below mu among the pointer cycles reached from `starts`
-    (every node by default), with the smallest node of the shortest such
-    cycle whose smallest node is least; or None."""
+def pred_cycle_mean_naive(pred, weights, mu=None, starts=None):
+    """Smallest mean among the pointer cycles reached from `starts` (every
+    node by default), below mu if given, with the smallest node of the
+    shortest such cycle whose smallest node is least; or None."""
     best = None
     for cyc in pointer_cycles(pred, starts):
         mean = Fraction(sum(int(weights[x]) for x in cyc), len(cyc))
-        if mean < mu:
+        if mu is None or mean < mu:
             key = (mean, len(cyc), min(cyc))
             best = key if best is None else min(best, key)
     return None if best is None else (best[0], best[2])

@@ -173,8 +173,10 @@ def test_exit_codes(capsys):
         code, _, err = run(capsys, "blocks", *argv)
         assert code == 2 and err.startswith("input error: ")
         assert f"(at position {blockdsl.MAX_DEPTH})" in err
-    code, _, err = run(capsys, "ratio", "{}")
-    assert code == 2
+    # the engines reject an empty set
+    for argv in (["ratio", "{}"], ["eds", "{}"], ["oracle", "{}", "--n-limit", "5"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "nonempty" in err
 
 
 def test_env_var_cap(capsys, monkeypatch):
@@ -209,14 +211,19 @@ def test_verify_paper_small(capsys):
 
 def test_verify_paper_rows_skip_at_engine_caps(monkeypatch):
     # the engines' caps decide, C_LIMIT included: with it lowered to 5,
-    # rows that c_max = 16 allows still skip instead of raising
+    # rows that c_max = 16 allows still skip instead of raising; and with
+    # the cross-check cap below {1,3}'s period 15, the oracle scan skips
     monkeypatch.setattr(stategraph, "C_LIMIT", 5)
-    rows = verification.run_verification(n_max=12, cases=1, criteria={1, 3, 4})
+    monkeypatch.setattr(verification, "CROSS_CHECK_N_MAX", 12)
+    rows = verification.run_verification(n_max=12, cases=1, criteria={1, 3, 4, 10})
     got = {r.label: (r.status, r.detail) for r in rows}
     assert got["ratio {1,6}"] == ("SKIP", "c=6 above cap 5")
     assert got["eds {1,-5}"] == ("SKIP", "c=6 above cap 5")
     assert got["gamma(Z_14,{1,2})"] == ("SKIP", "n=14 above cap 12")
+    assert got["oracle cross-check {1,8}"] == ("SKIP", "c=8 above cap 5")
+    assert got["oracle cross-check {1,3}"] == ("SKIP", "n=13 above cap 12")
     assert got["ratio {1,5}"][0] == got["eds {1,5}"][0] == "PASS"
+    assert got["oracle cross-check {2,4}"][0] == "PASS"  # period 12
     assert not any(r.status == "FAIL" for r in rows)
 
 

@@ -6,10 +6,11 @@ from domrat.circulant import domination_number, residues
 from domrat.core import GeneratorSet
 from domrat.errors import InputError
 from domrat.formulas import (
-    Family,
     circulant_bounds_one_s,
     circulant_bounds_pm_one_s,
-    circulant_known,
+    circulant_consecutive,
+    circulant_one_s,
+    circulant_pm13,
     circulant_pm1s_eds,
     cong_family,
     eds_predicted,
@@ -95,28 +96,26 @@ def test_eds_predicted(s, t, want):
 
 
 def test_circulant_known_consecutive():
-    assert circulant_known(10, Family.CIRCULANT_CONSECUTIVE, 3) == 3
-    assert circulant_known(11, Family.CIRCULANT_CONSECUTIVE, 2) == 4
+    assert circulant_consecutive(10, 3) == 3
+    assert circulant_consecutive(11, 2) == 4
     with pytest.raises(InputError):
-        circulant_known(10, Family.CIRCULANT_CONSECUTIVE, 10)
+        circulant_consecutive(10, 10)
 
 
 def test_circulant_known_pm13():
-    assert circulant_known(14, Family.CIRCULANT_PM13) == 4
-    assert circulant_known(15, Family.CIRCULANT_PM13) == 3
-    assert circulant_known(19, Family.CIRCULANT_PM13) == 5
+    assert circulant_pm13(14) == 4
+    assert circulant_pm13(15) == 3
+    assert circulant_pm13(19) == 5
     with pytest.raises(InputError):
-        circulant_known(5, Family.CIRCULANT_PM13)
+        circulant_pm13(5)
 
 
 def test_circulant_known_one_s():
-    assert circulant_known(11, Family.ONE_S, 6) == 4  # n = 6k-1, s = 3k at k=2
-    assert circulant_known(5, Family.ONE_S, 3) == 2
-    assert circulant_known(12, Family.ONE_S, 5) is None  # bounds only
+    assert circulant_one_s(11, 6) == 4  # n = 6k-1, s = 3k at k=2
+    assert circulant_one_s(5, 3) == 2
+    assert circulant_one_s(12, 5) is None  # bounds only
     with pytest.raises(InputError):
-        circulant_known(10, Family.ONE_S, 1)
-    with pytest.raises(InputError):
-        circulant_known(7, "single-gen")
+        circulant_one_s(10, 1)
 
 
 def test_circulant_bounds():

@@ -140,15 +140,15 @@ def test_min_mean_cycle_rejects_acyclic_fixture():
         min_mean_cycle(StateGraph(s, 2, uncovered, covers, weights))
 
 
-def _scan(pred, weights, mu):
+def _scan(pred, weights):
     pred = np.asarray(pred, dtype=np.int64)
     scratch = [np.empty(len(pred), dtype=np.int64) for _ in range(2)]
     return stategraph._scan_pred_cycles(
-        pred, np.asarray(weights, dtype=np.int64), mu, *scratch)
+        pred, np.asarray(weights, dtype=np.int64), *scratch)
 
 
-# (pred, the nodes the last round improved, weights, mu, smallest mean below
-# mu among all pointer cycles)
+# (pred, the nodes the last round improved, weights, a threshold mu above
+# every pointer cycle's mean, as in _test_threshold, smallest mean)
 _SCAN_FIXTURES = [
     # walks end at nodes without a pointer: no cycle
     ([-1, 0, 1, -1], [2, 3], [0, 0, 0, 0], Fraction(5), None),
@@ -159,8 +159,6 @@ _SCAN_FIXTURES = [
      Fraction(5), Fraction(2, 3)),
     # the mean-0 cycle {0, 1} holds no improved node and is still found
     ([1, 0, 3, 2, 2], [4], [0, 0, 2, 1, 0], Fraction(5), Fraction(0)),
-    # the only cycle is not below mu
-    ([1, 0], [0], [1, 2], Fraction(3, 2), None),
     # a self-loop, though nothing improved
     ([0], [], [0], Fraction(1), Fraction(0)),
     # every walk ends at one of two nodes without a pointer
@@ -191,11 +189,11 @@ def _pointer_cycle_mean(pred, weights, node):
     return Fraction(sum(int(weights[x]) for x in cycle), len(cycle))
 
 
-def _check_scan(pred, weights, mu, want):
+def _check_scan(pred, weights, want):
     """The scan returns the smallest mean, want, with the oracle's node, a
     node on a pointer cycle of exactly that mean."""
-    got = _scan(pred, weights, mu)
-    assert got == pred_cycle_mean_naive(pred, weights, mu)
+    got = _scan(pred, weights)
+    assert got == pred_cycle_mean_naive(pred, weights)
     if want is None:
         assert got is None
         return got
@@ -211,7 +209,8 @@ def _every_cycle_improved(pred, improved) -> bool:
 
 @pytest.mark.parametrize("pred,starts,weights,mu,want", _SCAN_FIXTURES)
 def test_pred_cycle_scan_fixtures(pred, starts, weights, mu, want):
-    got = _check_scan(pred, weights, mu, want)
+    got = _check_scan(pred, weights, want)
+    assert pred_cycle_mean_naive(pred, weights, mu) == got
     # when every cycle holds an improved node, as in _test_threshold, the
     # walks from the improved nodes alone find the same
     improved = np.zeros(len(pred), dtype=bool)
@@ -227,9 +226,8 @@ def test_pred_cycle_scan_matches_naive_walk():
         pred = rng.integers(0, n, n)
         pred[rng.random(n) < rng.random() * 0.3] = -1
         weights = rng.integers(0, 4, n)
-        mu = Fraction(int(rng.integers(1, 20)), int(rng.integers(1, 6)))
-        want = pred_cycle_mean_naive(pred, weights, mu)
-        _check_scan(pred, weights, mu, None if want is None else want[0])
+        want = pred_cycle_mean_naive(pred, weights)
+        _check_scan(pred, weights, None if want is None else want[0])
 
 
 def test_pred_cycle_scan_long_tails():
@@ -242,9 +240,8 @@ def test_pred_cycle_scan_long_tails():
         pred[back] = rng.integers(0, n, int(back.sum()))
         pred[rng.random(n) < 0.01] = -1
         weights = rng.integers(0, 4, n)
-        mu = Fraction(int(rng.integers(1, 20)), int(rng.integers(1, 6)))
-        want = pred_cycle_mean_naive(pred, weights, mu)
-        _check_scan(pred, weights, mu, None if want is None else want[0])
+        want = pred_cycle_mean_naive(pred, weights)
+        _check_scan(pred, weights, None if want is None else want[0])
 
 
 def _threshold_calls(g):
@@ -397,8 +394,9 @@ def _threshold_frame():
 def _record_scans(monkeypatch):
     """Every _scan_pred_cycles call from _test_threshold from now on, as
     (pred, improved, weights, mu, result): improved marks the nodes whose y
-    fell in the round the scan ends.  y is copied as each round starts, when
-    its transform or supermask lowering runs."""
+    fell in the round the scan ends, and mu is the test's threshold.  y is
+    copied as each round starts, when its transform or supermask lowering
+    runs."""
     scans, start = [], {}
 
     def at_round_start(fn):
@@ -412,10 +410,11 @@ def _record_scans(monkeypatch):
         monkeypatch.setattr(stategraph, name, at_round_start(getattr(stategraph, name)))
     scan = stategraph._scan_pred_cycles
 
-    def recorded(pred, weights, mu, *scratch):
-        improved = _threshold_frame()["y"] < start["y"]
-        got = scan(pred, weights, mu, *scratch)
-        scans.append((pred.copy(), improved, weights, mu, got))
+    def recorded(pred, weights, *scratch):
+        local = _threshold_frame()
+        improved = local["y"] < start["y"]
+        got = scan(pred, weights, *scratch)
+        scans.append((pred.copy(), improved, weights, local["mu"], got))
         return got
 
     monkeypatch.setattr(stategraph, "_scan_pred_cycles", recorded)
@@ -444,9 +443,17 @@ def test_every_pointer_cycle_holds_an_improved_node(small_c_scans):
         assert _every_cycle_improved(pred, improved)
 
 
+def test_every_pointer_cycle_is_below_mu(small_c_scans):
+    # what lets the scan take every pointer cycle's mean without comparing
+    # it to mu: pointers are set only on strict improvement
+    for pred, _, weights, mu, _ in small_c_scans:
+        for cyc in pointer_cycles(pred):
+            assert Fraction(int(weights[cyc].sum()), len(cyc)) < mu
+
+
 def test_scan_matches_walks_from_improved_nodes(small_c_scans):
     # the scan over all cycles returns what walking the pointers from the
-    # improved nodes alone finds
+    # improved nodes alone finds below mu
     for pred, improved, weights, mu, got in small_c_scans:
         assert got == pred_cycle_mean_naive(pred, weights, mu, np.flatnonzero(improved))
 
