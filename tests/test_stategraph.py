@@ -159,6 +159,8 @@ _SCAN_FIXTURES = [
      Fraction(5), Fraction(2, 3)),
     # the mean-0 cycle {0, 1} holds no improved node and is still found
     ([1, 0, 3, 2, 2], [4], [0, 0, 2, 1, 0], Fraction(5), Fraction(0)),
+    # a 40-node chain from node 0 that ends at a node without a pointer
+    (list(range(1, 40)) + [-1], [0], [1] * 40, Fraction(5), None),
     # a self-loop, though nothing improved
     ([0], [], [0], Fraction(1), Fraction(0)),
     # every walk ends at one of two nodes without a pointer
