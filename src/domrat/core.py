@@ -29,7 +29,7 @@ class GeneratorSet:
     def __init__(self, elements: Iterable[int] = ()):
         elems = []
         for x in elements:
-            if not isinstance(x, int):
+            if not isinstance(x, int) or isinstance(x, bool):
                 raise InputError(f"generator {x!r} is not an integer")
             if x == 0:
                 raise InputError("0 is not allowed as a generator")

@@ -42,11 +42,18 @@ position twice on its own and
 
     uncovered(T) == covers(T')
 
-(the ratio path needs only the subset).  For a state free of double
-coverage, covers(T) determines T (see eds_exists), so each state has at
-most one exact successor: exact transitions form a functional graph, and a
-periodic witness is a cycle found by following successors, one array
-lookup a step.
+(the ratio path needs only the subset).  A state covers no position twice
+on either side iff
+
+    (|S|+1)|T| == c - |uncovered(T)| + |covers(T)|
+
+since each of its (|S|+1)|T| (member, step) pairs lands either in T's
+own window, where c - |uncovered(T)| positions are hit, or in the span the
+next window reads as covers(T); the counts agree iff no position is hit
+twice.  For such a state covers(T) determines T (see eds_exists), so each
+state has at most one exact successor: exact transitions form a functional
+graph, and a periodic witness is a cycle found by following successors,
+one array lookup a step.
 """
 
 from __future__ import annotations
@@ -88,36 +95,22 @@ def state_of(elements) -> int:
     return m
 
 
+@dataclass(frozen=True, eq=False)
 class StateGraph:
     """All 2^c states with the consistency relation as per-state masks.
 
     Adjacency is implicit: state u has an edge to v iff uncovered[u] is a
-    subset of covers[v].  Instances are immutable after construction.
+    subset of covers[v].
     """
 
-    def __init__(self, generators: GeneratorSet, c: int,
-                 uncovered: np.ndarray, covers: np.ndarray,
-                 weights: np.ndarray):
-        self.generators = generators
-        self.c = c
-        self.n_states = 1 << c
-        self.uncovered = uncovered
-        self.covers = covers
-        self.weights = weights
+    c: int
+    uncovered: np.ndarray
+    covers: np.ndarray
+    weights: np.ndarray
 
-
-def _shift(line: np.ndarray, step: int) -> np.ndarray:
-    """What the members of `line` dominate by one step.
-
-    Line bit i <-> integer position i+1; a member at position x dominates
-    x + step, i.e. shifts its bit left by step (right for negative steps).
-    """
-    return (line << step) if step > 0 else (line >> -step)
-
-
-def _window(s: GeneratorSet) -> np.int64:
-    """Line bits of the window positions [a+1, a+c]."""
-    return np.int64(((1 << s.c) - 1) << s.a)
+    @property
+    def n_states(self) -> int:
+        return 1 << self.c
 
 
 def build_state_graph(s: GeneratorSet, c_max: int = DEFAULT_C_MAX) -> StateGraph:
@@ -133,16 +126,17 @@ def build_state_graph(s: GeneratorSet, c_max: int = DEFAULT_C_MAX) -> StateGraph
     v = np.arange(1 << c, dtype=np.int64)
 
     def coverage(line: np.ndarray) -> np.ndarray:
+        # line bit i is position i+1; a member at x dominates x + step
         cov = line.copy()
         for step in s:
-            cov |= _shift(line, step)
+            cov |= (line << step) if step > 0 else (line >> -step)
         return cov
 
-    window = _window(s)
+    window = np.int64(((1 << c) - 1) << a)  # line bits of positions [a+1, a+c]
     uncovered = (~coverage(v) & window) >> a
     covers = (coverage(v << c) & window) >> a
     weights = np.bitwise_count(v).astype(np.int64)
-    return StateGraph(s, c, uncovered, covers, weights)
+    return StateGraph(c, uncovered, covers, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +280,7 @@ def _supermask_count(masks: np.ndarray, c: int) -> int:
     return int(np.left_shift(1, c - np.bitwise_count(masks).astype(np.int64)).sum())
 
 
-def _test_threshold(uncovered: np.ndarray, covers: np.ndarray,
-                    weights: np.ndarray, n: int, c: int, mu: Fraction,
+def _test_threshold(g: StateGraph, mu: Fraction,
                     seed: list[int] | None = None) -> _ThresholdResult:
     """Decide whether some cycle has mean < mu.
 
@@ -309,6 +302,7 @@ def _test_threshold(uncovered: np.ndarray, covers: np.ndarray,
     and only states whose covers mask fell can improve.  Those sparse
     rounds give the same y and pred as full rounds, ties included.
     """
+    uncovered, covers, weights, c, n = g.uncovered, g.covers, g.weights, g.c, g.n_states
     p, q = np.int64(mu.numerator), np.int64(mu.denominator)
     wq = q * weights - p
     y = np.zeros(n, dtype=np.int64)
@@ -388,7 +382,7 @@ def _test_threshold(uncovered: np.ndarray, covers: np.ndarray,
     raise AssertionError("unreachable")
 
 
-def _cycle_nodes(uncovered, covers, y, tgt, n, c) -> np.ndarray:
+def _cycle_nodes(g: StateGraph, y: np.ndarray, tgt: np.ndarray) -> np.ndarray:
     """States that can lie on a cycle of tight edges.
 
     Edge u -> v is tight when y(u) == tgt(v) (and u -> v is an edge); with
@@ -396,6 +390,7 @@ def _cycle_nodes(uncovered, covers, y, tgt, n, c) -> np.ndarray:
     all-tight cycle is minimizing.  Iteratively drop states lacking a tight
     successor or predecessor among the survivors.
     """
+    uncovered, covers, c, n = g.uncovered, g.covers, g.c, g.n_states
     active = np.ones(n, dtype=bool)
     t = np.empty(n, dtype=np.int64)
     for _ in range(n + 1):
@@ -416,8 +411,7 @@ def _cycle_nodes(uncovered, covers, y, tgt, n, c) -> np.ndarray:
     return np.nonzero(active)[0]  # empty only if broken; _canonical_cycle raises
 
 
-def _canonical_cycle(uncovered, covers, weights, n, c, mu: Fraction,
-                     y: np.ndarray) -> tuple[int, ...]:
+def _canonical_cycle(g: StateGraph, mu: Fraction, y: np.ndarray) -> tuple[int, ...]:
     """Shortest minimizing cycle; ties to the lexicographically smallest
     state sequence started at its smallest state.
 
@@ -428,10 +422,10 @@ def _canonical_cycle(uncovered, covers, weights, n, c, mu: Fraction,
     its BFS distances guide the walk around the cycle.
     """
     p, q = np.int64(mu.numerator), np.int64(mu.denominator)
-    tgt = y - (q * weights - p)
-    nodes = _cycle_nodes(uncovered, covers, y, tgt, n, c)
+    tgt = y - (q * g.weights - p)
+    nodes = _cycle_nodes(g, y, tgt)
 
-    u_r, h_r = uncovered[nodes], covers[nodes]
+    u_r, h_r = g.uncovered[nodes], g.covers[nodes]
     y_r, tgt_r = y[nodes], tgt[nodes]
     m = len(nodes)
 
@@ -483,17 +477,16 @@ def min_mean_cycle(g: StateGraph) -> tuple[Fraction, tuple[int, ...]]:
     convergence certificate shows no cycle beats the last one.  Each test
     after the first starts from the cycle the previous test found.
     """
-    n, c = g.n_states, g.c
-    mu = Fraction(c + 1)  # above any cycle mean, so the first test finds a cycle
+    mu = Fraction(g.c + 1)  # above any cycle mean, so the first test finds a cycle
     seed = None
     while True:
-        result = _test_threshold(g.uncovered, g.covers, g.weights, n, c, mu, seed)
+        result = _test_threshold(g, mu, seed)
         if result.converged:
             break
         mu, seed = result.mean, result.cycle
-    if mu == Fraction(c + 1):
+    if mu == Fraction(g.c + 1):
         raise InputError("state graph has no cycle")
-    cycle = _canonical_cycle(g.uncovered, g.covers, g.weights, n, c, mu, result.y)
+    cycle = _canonical_cycle(g, mu, result.y)
     return mu, cycle
 
 
@@ -551,6 +544,15 @@ def eds_exists(s: GeneratorSet,
     exactly once; such a set exists iff the restricted relation has a
     cycle, and any cycle unrolls into a periodic witness.
 
+    A state on such a cycle covers no position twice, neither in its own
+    window nor where the next window's covers mask reads, and that is a
+    count.  Each of T's (|S|+1)|T| pairs (member x, step d in {0} u S)
+    lands at x + d in [1-b, a+c]: either in T's window [a+1, a+c], where
+    c - |uncovered(T)| positions are hit, or in [1-b, a], whose hits
+    covers(T) records c places to the right.  So (|S|+1)|T| >=
+    c - |uncovered(T)| + |covers(T)|, with equality iff no position is hit
+    twice.
+
     The restricted relation is a function, as tilings of Z are forced from
     left to right (D. J. Newman, "Tesselation of integers", 1977).  Take T
     with no window position covered twice.  A member x of T (an element of
@@ -566,19 +568,9 @@ def eds_exists(s: GeneratorSet,
     """
     g = build_state_graph(s, c_max=c_max)
     c = g.c
-    v = np.arange(g.n_states, dtype=np.int64)
-    window = _window(s)
-
-    def covered_twice(line: np.ndarray) -> np.ndarray:
-        once = line.copy()
-        twice = np.zeros_like(line)
-        for step in s:
-            shifted = _shift(line, step)
-            twice |= once & shifted
-            once |= shifted
-        return twice
-
-    single = ((covered_twice(v) | covered_twice(v << c)) & window) == 0
+    # the left side is int64; the right, at most 2c, cannot wrap bitwise_count's uint8
+    single = (g.weights * (len(s) + 1) + np.bitwise_count(g.uncovered)
+              == np.bitwise_count(g.covers) + c)
     states = np.flatnonzero(single)
     states = states[np.argsort(g.covers[states])]  # distinct covers, see above
     keys, want = g.covers[states], g.uncovered[states]

@@ -275,3 +275,12 @@ def exact_transitions_naive(s):
             if all((j in members) + sum(j - step in members for step in s) == 1
                    for j in range(a + 1, c + a + 1)):
                 yield t, u
+
+
+def hits_no_position_twice(t, s):
+    """Whether the members of state t (bit i for element i+1 of [1, c]) and
+    their steps hit every integer at most once, counted position by
+    position over [1-b, a+c], where every member x and step d lands."""
+    members = [i + 1 for i in range(s.c) if t >> i & 1]
+    return all(sum(j - d in members for d in (0, *s)) <= 1
+               for j in range(1 - s.b, s.a + s.c + 1))

@@ -215,7 +215,8 @@ def test_verify_paper_rows_skip_at_engine_caps(monkeypatch):
     # the cross-check cap below {1,3}'s period 15, the oracle scan skips
     monkeypatch.setattr(stategraph, "C_LIMIT", 5)
     monkeypatch.setattr(verification, "CROSS_CHECK_N_MAX", 12)
-    rows = verification.run_verification(n_max=12, cases=1, criteria={1, 3, 4, 10})
+    rows = verification.run_verification(n_max=12, cases=20,
+                                         criteria={1, 3, 4, 8, 9, 10})
     got = {r.label: (r.status, r.detail) for r in rows}
     assert got["ratio {1,6}"] == ("SKIP", "c=6 above cap 5")
     assert got["eds {1,-5}"] == ("SKIP", "c=6 above cap 5")
@@ -225,6 +226,12 @@ def test_verify_paper_rows_skip_at_engine_caps(monkeypatch):
     assert got["ratio {1,5}"][0] == got["eds {1,5}"][0] == "PASS"
     assert got["oracle cross-check {2,4}"][0] == "PASS"  # period 12
     assert not any(r.status == "FAIL" for r in rows)
+    # criteria 8 and 9 keep the sets C_LIMIT allows ({1,2..5}, {1,-1..-4}
+    # and {2,4} in criterion 8), as they do at c_max = 5
+    assert got["period bound c*2^c"][1].startswith("9 certificates")
+    monkeypatch.setattr(stategraph, "C_LIMIT", 28)
+    assert [r for r in rows if r.criterion in (8, 9)] == verification.run_verification(
+        c_max=5, cases=20, criteria={8, 9})
 
 
 def test_verify_paper_detects_corruption(capsys, monkeypatch):

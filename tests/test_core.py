@@ -32,6 +32,10 @@ def test_generator_set_validation():
         GeneratorSet([2, 2])
     with pytest.raises(InputError):
         GeneratorSet([1, "2"])
+    with pytest.raises(InputError, match="True is not an integer"):
+        GeneratorSet([True, 3])
+    with pytest.raises(InputError, match="False is not an integer"):
+        GeneratorSet([False])
     assert GeneratorSet([4, 1, -3]).elements == (-3, 1, 4)
     assert str(GeneratorSet([1, -3])) == "{-3,1}"
 

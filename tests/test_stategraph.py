@@ -31,6 +31,7 @@ from oracles import (
     brute_small_period_exact_cover,
     exact_transitions_naive,
     full_state,
+    hits_no_position_twice,
     is_edge,
     is_transition,
     karp_min_mean,
@@ -122,7 +123,7 @@ def _self_loop_graph():
     uncovered = np.full(4, 3, dtype=np.int64)
     covers = np.array([0, 0, 0, 3], dtype=np.int64)
     weights = np.array([0, 1, 1, 2], dtype=np.int64)
-    return StateGraph(GeneratorSet([1, 2]), 2, uncovered, covers, weights)
+    return StateGraph(2, uncovered, covers, weights)
 
 
 def test_min_mean_cycle_self_loop_fixture():
@@ -132,12 +133,11 @@ def test_min_mean_cycle_self_loop_fixture():
 
 
 def test_min_mean_cycle_rejects_acyclic_fixture():
-    s = GeneratorSet([1, 2])
     uncovered = np.full(4, 3, dtype=np.int64)
     covers = np.zeros(4, dtype=np.int64)
     weights = np.array([0, 1, 1, 2], dtype=np.int64)
     with pytest.raises(InputError):
-        min_mean_cycle(StateGraph(s, 2, uncovered, covers, weights))
+        min_mean_cycle(StateGraph(2, uncovered, covers, weights))
 
 
 def _scan(pred, weights):
@@ -251,8 +251,7 @@ def _threshold_calls(g):
     checking each cycle a test returns; the last test certifies."""
     calls = [(Fraction(g.c + 1), None)]
     while True:
-        r = stategraph._test_threshold(g.uncovered, g.covers, g.weights,
-                                       g.n_states, g.c, *calls[-1])
+        r = stategraph._test_threshold(g, *calls[-1])
         if r.converged:
             return calls
         assert all(is_edge(g, u, v) for u, v in zip(r.cycle, r.cycle[1:] + r.cycle[:1]))
@@ -267,11 +266,10 @@ def _threshold_schedule(g):
 
 def _assert_seeded_matches_unseeded(g):
     mu, found = _threshold_schedule(g)
-    args = (g.uncovered, g.covers, g.weights, g.n_states, g.c, mu)
-    plain = stategraph._test_threshold(*args)
+    plain = stategraph._test_threshold(g, mu)
     assert plain.converged
     for seed in (found, list(min_mean_cycle(g)[1])):
-        seeded = stategraph._test_threshold(*args, seed)
+        seeded = stategraph._test_threshold(g, mu, seed)
         assert seeded.converged and np.array_equal(seeded.y, plain.y)
 
 
@@ -330,12 +328,11 @@ def sparse_rounds(monkeypatch):
 def _compare_tail(monkeypatch, g, calls, tail=_TAIL_FORCED):
     """Each threshold test (mu, seed) in calls returns the same with the
     sparse tail switched by `tail` as with it off."""
-    args = (g.uncovered, g.covers, g.weights, g.n_states, g.c)
     for mu, seed in calls:
         _set_tail(monkeypatch, tail)
-        on = stategraph._test_threshold(*args, mu, seed)
+        on = stategraph._test_threshold(g, mu, seed)
         _set_tail(monkeypatch, _TAIL_OFF)
-        off = stategraph._test_threshold(*args, mu, seed)
+        off = stategraph._test_threshold(g, mu, seed)
         assert (on.converged, on.mean, on.cycle) == (off.converged, off.mean, off.cycle)
         assert (on.y is None) == (off.y is None)
         assert off.y is None or np.array_equal(on.y, off.y)
@@ -487,8 +484,7 @@ def test_sparse_tail_span_guard_fixture(monkeypatch, sparse_rounds):
     for tail in (_TAIL_FORCED, _TAIL_OFF):
         _set_tail(monkeypatch, tail)
         with pytest.raises(CapExceededError):
-            stategraph._test_threshold(g.uncovered, g.covers, g.weights,
-                                       g.n_states, g.c, mu)
+            stategraph._test_threshold(g, mu)
     assert len(sparse_rounds) == 5  # rounds 2-6, with the tail forced
 
 
@@ -707,6 +703,17 @@ def test_exact_transitions_are_a_function(small_exact_transitions):
     for s, exact in small_exact_transitions:
         tails = [t for t, _ in exact]
         assert len(tails) == len(set(tails)), s
+
+
+def test_single_coverage_by_counting(small_exact_transitions):
+    # the filter eds_exists applies: (|S|+1)|T| == c - |uncovered(T)| +
+    # |covers(T)| on the graph's arrays iff no position is hit twice
+    for s, _ in small_exact_transitions:
+        g = build_state_graph(s)
+        for t in states(g):
+            hit = g.c - int(g.uncovered[t]).bit_count() + int(g.covers[t]).bit_count()
+            counted = (len(s) + 1) * int(g.weights[t]) == hit
+            assert counted == hits_no_position_twice(t, s), (s, t)
 
 
 def test_eds_matches_naive_exact_transitions(small_exact_transitions):
