@@ -58,6 +58,8 @@ one array lookup a step.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -65,6 +67,14 @@ import numpy as np
 
 from .core import GeneratorSet, PeriodicSet, coverage_counts, verify_dominating
 from .errors import CapExceededError, CertificateError, InputError
+
+# Freed arrays stay mapped: with glibc's dynamic thresholds a call at c >= 16
+# faulted its 25-75 MB afresh or not by where small blocks sat (see README).
+with contextlib.suppress(AttributeError, OSError, TypeError):  # no mallopt
+    _mallopt = ctypes.CDLL(None).mallopt
+    _mallopt.argtypes, _mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    _mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, glibc's upper limit: c <= 22
+    _mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
 
 DEFAULT_C_MAX = 16
 # largest c the engine represents, whatever c_max says: threshold rounds pack
@@ -75,14 +85,7 @@ C_LIMIT = 28
 
 def state_elements(t: int) -> tuple[int, ...]:
     """Members of [1, c] present in a state bitmask."""
-    out = []
-    i = 1
-    while t:
-        if t & 1:
-            out.append(i)
-        t >>= 1
-        i += 1
-    return tuple(out)
+    return tuple(i + 1 for i in range(t.bit_length()) if t >> i & 1)
 
 
 def state_of(elements) -> int:

@@ -80,12 +80,9 @@ class _Context:
         return max(self.n_max, CROSS_CHECK_N_MAX)
 
     def ratio(self, s: GeneratorSet) -> RatioCertificate:
-        key = s.elements
-        cert = self._ratio_memo.get(key)
-        if cert is None:
-            cert = domination_ratio(s, c_max=self.c_max)
-            self._ratio_memo[key] = cert
-        return cert
+        if s.elements not in self._ratio_memo:
+            self._ratio_memo[s.elements] = domination_ratio(s, c_max=self.c_max)
+        return self._ratio_memo[s.elements]
 
     def ratio_within_caps(self, s: GeneratorSet) -> RatioCertificate | None:
         """ratio(s), or None when an engine cap refuses s."""

@@ -1,4 +1,5 @@
 import os
+import platform
 import subprocess
 import sys
 from fractions import Fraction
@@ -815,3 +816,24 @@ def test_deterministic_output():
     a = domination_ratio(GeneratorSet([2, -3]))
     b = domination_ratio(GeneratorSet([2, -3]))
     assert a.cycle == b.cycle and a.witness == b.witness
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+def test_repeat_calls_reuse_freed_arrays():
+    # in a fresh process the first pass sets the peak, and later passes fault
+    # in almost no fresh pages; with glibc's dynamic thresholds each pass
+    # faulted in about 28 000 (110 MB)
+    script = (
+        "import resource\n"
+        "from domrat import GeneratorSet, domination_ratio, eds_exists\n"
+        "for _ in range(3):\n"
+        "    for els in [(1, -17), (1, 16), (-1, 17)]:\n"
+        "        domination_ratio(GeneratorSet(els), c_max=18)\n"
+        "        eds_exists(GeneratorSet(els), c_max=18)\n"
+        "    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(stategraph.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    faults = [int(b) - int(a) for a, b in zip(out, out[1:])]
+    assert max(faults) < 1024, faults
