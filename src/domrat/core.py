@@ -15,6 +15,11 @@ from typing import Iterable, Iterator
 
 from .errors import InputError
 
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class GeneratorSet:
     """A finite set of nonzero integer steps, kept sorted.
@@ -29,7 +34,7 @@ class GeneratorSet:
     def __init__(self, elements: Iterable[int] = ()):
         elems = []
         for x in elements:
-            if not isinstance(x, int) or isinstance(x, bool):
+            if not _is_int(x):
                 raise InputError(f"generator {x!r} is not an integer")
             if x == 0:
                 raise InputError("0 is not allowed as a generator")
@@ -77,14 +82,14 @@ class PeriodicSet:
     residues: frozenset[int]
 
     def __init__(self, period: int, residues: Iterable[int]):
-        if period < 1:
-            raise InputError(f"period must be positive, got {period}")
-        res = frozenset(residues)
+        if not _is_int(period) or period < 1:
+            raise InputError(f"period {period!r} is not a positive integer")
+        res = tuple(residues)
         for r in res:
-            if not 1 <= r <= period:
-                raise InputError(f"residue {r} outside [1,{period}]")
+            if not _is_int(r) or not 1 <= r <= period:
+                raise InputError(f"residue {r!r} is not an integer in [1,{period}]")
         object.__setattr__(self, "period", period)
-        object.__setattr__(self, "residues", res)
+        object.__setattr__(self, "residues", frozenset(res))
 
     def __contains__(self, x: int) -> bool:
         return (x - 1) % self.period + 1 in self.residues
@@ -114,7 +119,7 @@ class BlockStructure:
         if not sz:
             raise InputError("block structure needs at least one block")
         for v in sz:
-            if not isinstance(v, int) or v < 1:
+            if not _is_int(v) or v < 1:
                 raise InputError(f"block size {v!r} is not a positive integer")
         object.__setattr__(self, "sizes", sz)
 

@@ -33,8 +33,13 @@ test after the first starts its values on the cycle the previous test found,
 not at zero: that reaches the same fixpoint, often in far fewer rounds.
 Once a round improves only a few states, later rounds keep the transform and
 lower it just at the supermasks of those states' masks, re-evaluating only
-the states whose predecessor minimum fell.  All arithmetic is
-integer/Fraction; no floating point anywhere.
+the states whose predecessor minimum fell.  The canonical cycle is read
+off the tight edges of the converged potentials: the prune to the states
+on tight cycles starts with a subset-minimum and a supermask-maximum
+transform an iteration, and once the survivor pairs with matching values
+number at most 2^c it finishes on those pairs' explicit edges, which the
+shortest-cycle search then walks.  All arithmetic is integer/Fraction; no
+floating point anywhere.
 
 Sets dominating every integer exactly once use the same masks.  A pair
 covers each window position exactly once iff neither side covers any
@@ -385,13 +390,27 @@ def _test_threshold(g: StateGraph, mu: Fraction,
     raise AssertionError("unreachable")
 
 
-def _cycle_nodes(g: StateGraph, y: np.ndarray, tgt: np.ndarray) -> np.ndarray:
-    """States that can lie on a cycle of tight edges.
+def _cycle_nodes(g: StateGraph, y: np.ndarray, tgt: np.ndarray) -> tuple[np.ndarray, ...]:
+    """States that can lie on a cycle of tight edges, and the tight edges
+    among them: local state i has the successors dst[first[i]:first[i+1]],
+    local indices in no particular order.  Returns (states, first, dst).
 
     Edge u -> v is tight when y(u) == tgt(v) (and u -> v is an edge); with
     converged potentials every minimizing cycle is all-tight and every
     all-tight cycle is minimizing.  Iteratively drop states lacking a tight
     successor or predecessor among the survivors.
+
+    Converged y has tgt(v) <= y(u) on every edge, so "the minimum of y over
+    v's surviving predecessors is tgt(v)" says "v has a tight predecessor",
+    and likewise for successors with the maximum of tgt.  A dense iteration
+    tests every state that way with two subset transforms over all n = 2^c
+    masks, however few survive.  After each one, the survivor pairs with
+    y(u) == tgt(v) are counted by one sort and two searchsorted calls; once
+    they number at most n, or the survivors stopped shrinking, the prune
+    switches to explicit edges.  Those pairs are expanded, the tight edges
+    among them kept, and a state without a live in- or out-edge is dropped
+    until none is.  Both trims reach the same greatest fixpoint from any
+    superset of it, so the switch cannot change the result.
     """
     uncovered, covers, c, n = g.uncovered, g.covers, g.c, g.n_states
     active = np.ones(n, dtype=bool)
@@ -405,13 +424,44 @@ def _cycle_nodes(g: StateGraph, y: np.ndarray, tgt: np.ndarray) -> np.ndarray:
         t.fill(-_INF)
         np.maximum.at(t, covers[active], tgt[active])
         _subset_transform(t[::-1], c, np.maximum)
-        out_ok = t[uncovered] == y
-
-        new_active = active & in_ok & out_ok
-        if np.array_equal(new_active, active):
+        new_active = active & in_ok & (t[uncovered] == y)
+        stable, active = np.array_equal(new_active, active), new_active
+        nodes = np.flatnonzero(active)
+        order = np.argsort(tgt[nodes])
+        ts, yv = tgt[nodes[order]], y[nodes]
+        lo = np.searchsorted(ts, yv)
+        cnt = np.searchsorted(ts, yv, side="right") - lo
+        if stable or int(cnt.sum()) <= n:
             break
-        active = new_active
-    return np.nonzero(active)[0]  # empty only if broken; _canonical_cycle raises
+
+    # list the tight edges among the pairs (u, order[lo[u] + k]), k < cnt[u],
+    # as successor lists: u's are dst[first[u]:first[u+1]].  u runs in slices
+    # of at most n pairs plus one u's: converged survivors can hold far more
+    # than n (for S = {c} all 2^c states stay), so only the edges are kept,
+    # as int32
+    m = nodes.size
+    u_r, h_r = uncovered[nodes], covers[nodes]
+    start = np.cumsum(cnt) - cnt
+    cuts = np.searchsorted(start, np.arange(n, int(cnt.sum()), n)).tolist()
+    deg, dst, done = np.zeros(m, dtype=np.int64), [], 0
+    for a, b in zip([0, *cuts], [*cuts, m]):
+        s = np.repeat(np.arange(a, b), cnt[a:b])
+        d = order[np.repeat(lo[a:b] - start[a:b], cnt[a:b]) + np.arange(done, done + s.size)]
+        done += s.size
+        tight = (u_r[s] & ~h_r[d]) == 0
+        deg[a:b] = np.bincount(s[tight] - a, minlength=b - a)
+        dst.append(d[tight].astype(np.int32))
+    dst = np.concatenate(dst)
+    if not stable:  # at most n edges
+        src = np.repeat(np.arange(m), deg)
+        while not stable:
+            live = (np.bincount(src, minlength=m) > 0) & (np.bincount(dst, minlength=m) > 0)
+            keep = live[src] & live[dst]
+            src, dst, stable = src[keep], dst[keep], keep.all()
+        local = np.cumsum(live, dtype=np.int32) - 1
+        nodes, src, dst = nodes[live], local[src], local[dst]
+        deg = np.bincount(src, minlength=nodes.size)
+    return nodes, np.concatenate(([0], np.cumsum(deg))), dst  # empty only if broken
 
 
 def _canonical_cycle(g: StateGraph, mu: Fraction, y: np.ndarray) -> tuple[int, ...]:
@@ -426,18 +476,12 @@ def _canonical_cycle(g: StateGraph, mu: Fraction, y: np.ndarray) -> tuple[int, .
     """
     p, q = np.int64(mu.numerator), np.int64(mu.denominator)
     tgt = y - (q * g.weights - p)
-    nodes = _cycle_nodes(g, y, tgt)
-
-    u_r, h_r = g.uncovered[nodes], g.covers[nodes]
-    y_r, tgt_r = y[nodes], tgt[nodes]
+    nodes, first, dst = _cycle_nodes(g, y, tgt)
     m = len(nodes)
-
-    def successors(i: int) -> list[int]:  # ascending
-        return np.nonzero(((h_r & u_r[i]) == u_r[i]) & (tgt_r == y_r[i]))[0].tolist()
-
+    first = first.tolist()
     radj: list[list[int]] = [[] for _ in range(m)]
     for i in range(m):
-        for j in successors(i):
+        for j in dst[first[i]:first[i + 1]].tolist():
             radj[j].append(i)
 
     best_len, best_start, best_dist = m + 1, -1, {}
@@ -468,7 +512,8 @@ def _canonical_cycle(g: StateGraph, mu: Fraction, y: np.ndarray) -> tuple[int, .
     # every such node completes a cycle, so the smallest one is always right.
     seq = [best_start]
     for r in range(best_len - 1, 0, -1):
-        seq.append(next(j for j in successors(seq[-1]) if best_dist.get(j) == r))
+        i = seq[-1]
+        seq.append(min(j for j in dst[first[i]:first[i + 1]].tolist() if best_dist.get(j) == r))
     return tuple(nodes[seq].tolist())
 
 

@@ -1,8 +1,9 @@
 """Independent reference computations used only by the tests.
 
 These deliberately share no code with the engine: the cycle mean comes from
-a dynamic program over walk lengths, and the canonical cycle from plain
-depth-first enumeration."""
+a dynamic program over walk lengths, the canonical cycle from plain
+depth-first enumeration, and the tight subgraph from a trim over pairs
+checked one at a time."""
 
 import math
 from fractions import Fraction
@@ -80,6 +81,54 @@ def supermask_max_naive(t):
     """out[m] = max of t over every supermask of m, one mask at a time."""
     idx = np.arange(len(t))
     return np.array([t[(idx & m) == m].max() for m in idx])
+
+
+def _closure(marks, c, up):
+    """marks[m] set wherever marks is set at a submask of m (up) or at a
+    supermask of m (not up), one bit at a time."""
+    marks = marks.copy()
+    for i in range(c):
+        pairs = marks.reshape(-1, 2, 1 << i)  # [:, 0] lacks bit i, [:, 1] has it
+        if up:
+            pairs[:, 1] |= pairs[:, 0]
+        else:
+            pairs[:, 0] |= pairs[:, 1]
+    return marks
+
+
+def tight_cycle_nodes_naive(g, y, tgt):
+    """States on a two-way infinite walk of tight edges, and the tight edges
+    among them: sorted states, and sorted (u, v) state pairs.
+
+    Edge u -> v is tight when y[u] == tgt[v].  A state stays while it has a
+    tight predecessor and a tight successor among the states left.  The
+    first step asks that of every state, one value at a time: a state v has
+    a tight predecessor iff some u with y[u] == tgt[v] has uncovered[u]
+    inside covers[v], an OR over the submasks of covers[v].  Every later
+    step checks is_edge on the pairs of states left with equal values.
+    """
+    n, c = g.n_states, g.c
+    has_pred = np.zeros(n, dtype=bool)
+    has_succ = np.zeros(n, dtype=bool)
+    for val in set(y.tolist()) & set(tgt.tolist()):
+        marks = np.zeros(n, dtype=bool)
+        marks[g.uncovered[y == val]] = True
+        has_pred |= (tgt == val) & _closure(marks, c, up=True)[g.covers]
+        marks = np.zeros(n, dtype=bool)
+        marks[g.covers[tgt == val]] = True
+        has_succ |= (y == val) & _closure(marks, c, up=False)[g.uncovered]
+    alive = set(np.flatnonzero(has_pred & has_succ).tolist())
+    heads = {}
+    for v in alive:
+        heads.setdefault(int(tgt[v]), []).append(v)
+    edges = {(u, v) for u in alive for v in heads.get(int(y[u]), ())
+             if is_edge(g, u, v)}
+    while True:
+        keep = {u for u, _ in edges} & {v for _, v in edges}
+        if keep == alive:
+            return sorted(alive), sorted(edges)
+        alive = keep
+        edges = {(u, v) for u, v in edges if u in alive and v in alive}
 
 
 def karp_min_mean(g):

@@ -60,6 +60,14 @@ def test_periodic_set_validation():
         PeriodicSet(3, {4})
     with pytest.raises(InputError):
         PeriodicSet(3, {0})
+    with pytest.raises(InputError, match="period True is not"):
+        PeriodicSet(True, [True])
+    with pytest.raises(InputError, match="residue True is not"):
+        PeriodicSet(3, [1, True])  # equal to 1, so a set would hide it
+    with pytest.raises(InputError):
+        PeriodicSet(3.0, [1])
+    with pytest.raises(InputError):
+        PeriodicSet(3, [2.0])
 
 
 def test_periodic_membership_lifts_both_directions():
@@ -90,6 +98,17 @@ def test_block_structure_rotation_equality():
     assert BlockStructure([2, 3, 4]) != BlockStructure([3, 2, 4])
     assert hash(BlockStructure([2, 3])) == hash(BlockStructure([3, 2]))
     assert BlockStructure([2, 3]).sizes != BlockStructure([3, 2]).sizes
+
+
+def test_block_structure_validation():
+    with pytest.raises(InputError):
+        BlockStructure([])
+    with pytest.raises(InputError):
+        BlockStructure([2, 0])
+    with pytest.raises(InputError, match="block size True is not"):
+        BlockStructure((True, 2))
+    with pytest.raises(InputError):
+        BlockStructure([2.0])
 
 
 def test_verify_dominating_examples():

@@ -44,6 +44,7 @@ from oracles import (
     submask_min_naive,
     successors,
     supermask_max_naive,
+    tight_cycle_nodes_naive,
     value_iteration_naive,
 )
 
@@ -499,10 +500,8 @@ def test_sparse_tail_converges_in_sparse_round(monkeypatch, sparse_rounds):
     assert len(sparse_rounds) == 4  # rounds 2-5
 
 
-def test_sparse_tail_transform_count(monkeypatch):
-    # a count, not a timing: {1,18}'s certifying test runs 38 rounds, so
-    # with every round dense min_mean_cycle runs 49 transforms (1 + 38
-    # rounds, 10 in _cycle_nodes); the tail leaves 16
+def _count_transforms(monkeypatch):
+    """A list that gains an entry at every _subset_transform call."""
     calls = []
     transform = stategraph._subset_transform
 
@@ -511,9 +510,69 @@ def test_sparse_tail_transform_count(monkeypatch):
         return transform(*args)
 
     monkeypatch.setattr(stategraph, "_subset_transform", counted)
+    return calls
+
+
+def test_sparse_tail_transform_count(monkeypatch):
+    # a count, not a timing: {1,18}'s certifying test runs 38 rounds, so
+    # with every round dense min_mean_cycle runs 43 transforms (1 + 38
+    # rounds, 4 in _cycle_nodes); the tail leaves 10
+    calls = _count_transforms(monkeypatch)
     g = build_state_graph(GeneratorSet([1, 18]), c_max=18)
     assert min_mean_cycle(g)[0] == Fraction(216, 35)
-    assert len(calls) <= 20
+    assert len(calls) <= 10
+
+
+def _cycle_nodes_inputs(g):
+    """The graph, converged y and tgt that min_mean_cycle hands _cycle_nodes."""
+    seen = []
+    cycle_nodes = stategraph._cycle_nodes
+
+    def recorded(*args):
+        seen.append(args)
+        return cycle_nodes(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stategraph, "_cycle_nodes", recorded)
+        min_mean_cycle(g)
+    (args,) = seen
+    return args
+
+
+def _assert_cycle_nodes_match_naive(g):
+    args = _cycle_nodes_inputs(g)
+    nodes, first, dst = stategraph._cycle_nodes(*args)
+    want_nodes, want_edges = tight_cycle_nodes_naive(*args)
+    assert nodes.tolist() == want_nodes
+    src = np.repeat(np.arange(len(nodes)), np.diff(first))
+    assert sorted(zip(nodes[src].tolist(), nodes[dst].tolist())) == want_edges
+
+
+def test_cycle_nodes_match_naive_small_c():
+    for s in _SMALL_SETS:
+        if s.c <= 10:
+            _assert_cycle_nodes_match_naive(build_state_graph(s))
+
+
+@pytest.mark.parametrize("els,dense", [([1, 16], 2), ([-18, -1], 1)])
+def test_cycle_nodes_match_naive_wide(monkeypatch, els, dense):
+    # the prune goes sparse after `dense` iterations of two transforms each
+    g = build_state_graph(GeneratorSet(els), c_max=18)
+    args = _cycle_nodes_inputs(g)
+    calls = _count_transforms(monkeypatch)
+    stategraph._cycle_nodes(*args)
+    assert len(calls) == 2 * dense
+    _assert_cycle_nodes_match_naive(g)
+
+
+def test_cycle_nodes_transform_count(monkeypatch):
+    # a count, not a timing: with every iteration dense, {1,16}'s prune runs
+    # 13 iterations of two transforms
+    g = build_state_graph(GeneratorSet([1, 16]), c_max=16)
+    args = _cycle_nodes_inputs(g)
+    calls = _count_transforms(monkeypatch)
+    stategraph._cycle_nodes(*args)
+    assert len(calls) <= 4
 
 
 @pytest.mark.parametrize("c", range(1, 15))
