@@ -2,15 +2,14 @@
 
 Exit codes: 0 success, 1 verification failure, 2 malformed input,
 3 resource cap exceeded, 4 internal error (a certificate failed its own
-re-verification, or an unexpected exception).  All output is deterministic
-for fixed inputs.
+re-verification, or an unexpected exception), 141 standard output closed
+early (as after SIGPIPE).  All output is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -61,23 +60,19 @@ def _emit_json(payload) -> None:
 
 
 def cmd_ratio(args) -> int:
-    results = []
-    for text in args.set:
-        s = parse_set_literal(text)
-        cert = domination_ratio(s, c_max=args.c_max)
-        results.append((s, cert))
+    results = [(s, domination_ratio(s, c_max=args.c_max))
+               for s in map(parse_set_literal, args.set)]
 
     if args.output_format == CSV:
-        out = io.StringIO()
-        writer = csv.writer(out)
+        writer = csv.writer(sys.stdout)
         writer.writerow(["set", "a", "b", "c", "ratio_num", "ratio_den",
                          "period", "eds"])
         for s, cert in results:
-            has_eds, _ = eds_exists(s, c_max=args.c_max)
+            # exact covers are the dominating sets of density 1/(|S|+1)
+            has_eds = cert.ratio == Fraction(1, len(s) + 1)
             writer.writerow([str(s), s.a, s.b, s.c, cert.ratio.numerator,
                              cert.ratio.denominator, cert.period,
                              "true" if has_eds else "false"])
-        sys.stdout.write(out.getvalue())
         return 0
 
     if args.output_format == JSON:
@@ -322,12 +317,18 @@ def main(argv=None) -> int:
         if args.c_max is None:
             args.c_max = _env_c_max()
         if args.c_max < 1 or args.n_max < 1:
-            print("caps must be positive", file=sys.stderr)
-            return 2
+            raise InputError("caps must be positive")
         if args.command == "blocks" and args.action == "verify" and args.set is None:
-            print("blocks verify needs a generator set", file=sys.stderr)
-            return 2
-        return args.func(args)
+            raise InputError("blocks verify needs a generator set")
+        if args.output_format == CSV and args.command != "ratio":
+            raise InputError(f"--format csv is not available for {args.command}")
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: drop the unwritten output, as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except CapExceededError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3

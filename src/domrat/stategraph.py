@@ -34,12 +34,11 @@ not at zero: that reaches the same fixpoint, often in far fewer rounds.
 Once a round improves only a few states, later rounds keep the transform and
 lower it just at the supermasks of those states' masks, re-evaluating only
 the states whose predecessor minimum fell.  The canonical cycle is read
-off the tight edges of the converged potentials: the prune to the states
-on tight cycles starts with a subset-minimum and a supermask-maximum
-transform an iteration, and once the survivor pairs with matching values
-number at most 2^c it finishes on those pairs' explicit edges, which the
-shortest-cycle search then walks.  All arithmetic is integer/Fraction; no
-floating point anywhere.
+off the tight edges of the converged potentials: a prune by subset
+transforms (finished on explicit edges once few pairs are left) keeps the
+states on tight cycles, and the shortest-cycle search looks up a state's
+tight predecessors among them when it first needs them.  All arithmetic
+is integer/Fraction; no floating point anywhere.
 
 Sets dominating every integer exactly once use the same masks.  A pair
 covers each window position exactly once iff neither side covers any
@@ -390,10 +389,8 @@ def _test_threshold(g: StateGraph, mu: Fraction,
     raise AssertionError("unreachable")
 
 
-def _cycle_nodes(g: StateGraph, y: np.ndarray, tgt: np.ndarray) -> tuple[np.ndarray, ...]:
-    """States that can lie on a cycle of tight edges, and the tight edges
-    among them: local state i has the successors dst[first[i]:first[i+1]],
-    local indices in no particular order.  Returns (states, first, dst).
+def _cycle_nodes(g: StateGraph, y: np.ndarray, tgt: np.ndarray) -> np.ndarray:
+    """States that can lie on a cycle of tight edges, ascending.
 
     Edge u -> v is tight when y(u) == tgt(v) (and u -> v is an edge); with
     converged potentials every minimizing cycle is all-tight and every
@@ -404,13 +401,13 @@ def _cycle_nodes(g: StateGraph, y: np.ndarray, tgt: np.ndarray) -> tuple[np.ndar
     v's surviving predecessors is tgt(v)" says "v has a tight predecessor",
     and likewise for successors with the maximum of tgt.  A dense iteration
     tests every state that way with two subset transforms over all n = 2^c
-    masks, however few survive.  After each one, the survivor pairs with
-    y(u) == tgt(v) are counted by one sort and two searchsorted calls; once
-    they number at most n, or the survivors stopped shrinking, the prune
-    switches to explicit edges.  Those pairs are expanded, the tight edges
-    among them kept, and a state without a live in- or out-edge is dropped
-    until none is.  Both trims reach the same greatest fixpoint from any
-    superset of it, so the switch cannot change the result.
+    masks, however few survive; one that drops nothing ends the prune.
+    Otherwise the survivor pairs with y(u) == tgt(v) are counted by one
+    sort and two searchsorted calls, and once they number at most n those
+    pairs are expanded, the tight edges among them kept, and a state
+    without a live in- or out-edge dropped until none is.  Both trims reach
+    the same greatest fixpoint from any superset of it, so the switch
+    cannot change the result.
     """
     uncovered, covers, c, n = g.uncovered, g.covers, g.c, g.n_states
     active = np.ones(n, dtype=bool)
@@ -425,43 +422,47 @@ def _cycle_nodes(g: StateGraph, y: np.ndarray, tgt: np.ndarray) -> tuple[np.ndar
         np.maximum.at(t, covers[active], tgt[active])
         _subset_transform(t[::-1], c, np.maximum)
         new_active = active & in_ok & (t[uncovered] == y)
-        stable, active = np.array_equal(new_active, active), new_active
+        if np.array_equal(new_active, active):
+            return np.flatnonzero(active)  # empty only if broken
+        active = new_active
         nodes = np.flatnonzero(active)
         order = np.argsort(tgt[nodes])
         ts, yv = tgt[nodes[order]], y[nodes]
         lo = np.searchsorted(ts, yv)
         cnt = np.searchsorted(ts, yv, side="right") - lo
-        if stable or int(cnt.sum()) <= n:
+        if int(cnt.sum()) <= n:
             break
 
-    # list the tight edges among the pairs (u, order[lo[u] + k]), k < cnt[u],
-    # as successor lists: u's are dst[first[u]:first[u+1]].  u runs in slices
-    # of at most n pairs plus one u's: converged survivors can hold far more
-    # than n (for S = {c} all 2^c states stay), so only the edges are kept,
-    # as int32
+    # the pairs (u, order[lo[u] + k]) for k < cnt[u], at most n of them
     m = nodes.size
-    u_r, h_r = uncovered[nodes], covers[nodes]
-    start = np.cumsum(cnt) - cnt
-    cuts = np.searchsorted(start, np.arange(n, int(cnt.sum()), n)).tolist()
-    deg, dst, done = np.zeros(m, dtype=np.int64), [], 0
-    for a, b in zip([0, *cuts], [*cuts, m]):
-        s = np.repeat(np.arange(a, b), cnt[a:b])
-        d = order[np.repeat(lo[a:b] - start[a:b], cnt[a:b]) + np.arange(done, done + s.size)]
-        done += s.size
-        tight = (u_r[s] & ~h_r[d]) == 0
-        deg[a:b] = np.bincount(s[tight] - a, minlength=b - a)
-        dst.append(d[tight].astype(np.int32))
-    dst = np.concatenate(dst)
-    if not stable:  # at most n edges
-        src = np.repeat(np.arange(m), deg)
-        while not stable:
-            live = (np.bincount(src, minlength=m) > 0) & (np.bincount(dst, minlength=m) > 0)
-            keep = live[src] & live[dst]
-            src, dst, stable = src[keep], dst[keep], keep.all()
-        local = np.cumsum(live, dtype=np.int32) - 1
-        nodes, src, dst = nodes[live], local[src], local[dst]
-        deg = np.bincount(src, minlength=nodes.size)
-    return nodes, np.concatenate(([0], np.cumsum(deg))), dst  # empty only if broken
+    src = np.repeat(np.arange(m), cnt)
+    dst = order[np.arange(src.size) + np.repeat(lo - np.cumsum(cnt) + cnt, cnt)]
+    keep = (uncovered[nodes[src]] & ~covers[nodes[dst]]) == 0  # the tight edges
+    while True:
+        src, dst = src[keep], dst[keep]
+        live = (np.bincount(src, minlength=m) > 0) & (np.bincount(dst, minlength=m) > 0)
+        keep = live[src] & live[dst]
+        if keep.all():
+            return nodes[live]
+
+
+class _TightPreds(dict):
+    """preds[i]: the indices u into nodes, unordered, with nodes[u] ->
+    nodes[i] a tight edge, looked up on first use.  The candidates are one
+    slice of the states sorted by y; the lists share one int per index."""
+
+    def __init__(self, g: StateGraph, y: np.ndarray, tgt: np.ndarray, nodes: np.ndarray):
+        self.order = np.argsort(y[nodes])
+        ys, self.unc = y[nodes[self.order]], g.uncovered[nodes[self.order]]
+        self.lo = np.searchsorted(ys, tgt[nodes]).tolist()
+        self.hi = np.searchsorted(ys, tgt[nodes], side="right").tolist()
+        self.miss, self.ids = ~g.covers[nodes], list(range(nodes.size))
+
+    def __missing__(self, i: int) -> list[int]:
+        cand = slice(self.lo[i], self.hi[i])
+        hit = self.order[cand][(self.unc[cand] & self.miss[i]) == 0]
+        self[i] = found = list(map(self.ids.__getitem__, hit.tolist()))
+        return found
 
 
 def _canonical_cycle(g: StateGraph, mu: Fraction, y: np.ndarray) -> tuple[int, ...]:
@@ -472,48 +473,42 @@ def _canonical_cycle(g: StateGraph, mu: Fraction, y: np.ndarray) -> tuple[int, .
     v over the nodes larger than v finds the shortest cycle whose smallest
     node is v: it closes at the first layer holding a successor of v.  The
     first v reaching the global minimum length is the canonical start, and
-    its BFS distances guide the walk around the cycle.
+    its BFS layers guide the walk around the cycle.
     """
     p, q = np.int64(mu.numerator), np.int64(mu.denominator)
     tgt = y - (q * g.weights - p)
-    nodes, first, dst = _cycle_nodes(g, y, tgt)
-    m = len(nodes)
-    first = first.tolist()
-    radj: list[list[int]] = [[] for _ in range(m)]
-    for i in range(m):
-        for j in dst[first[i]:first[i + 1]].tolist():
-            radj[j].append(i)
+    nodes = _cycle_nodes(g, y, tgt)
+    preds = _TightPreds(g, y, tgt, nodes)
 
-    best_len, best_start, best_dist = m + 1, -1, {}
-    for v in range(m):
-        # dist[u]: length of the shortest path u -> v through nodes > v
-        dist, layer, d = {v: 0}, [v], 0
-        while layer and d + 1 < best_len:  # layer d closes cycles of length d+1
+    best_len, best_layers = nodes.size + 1, None
+    for v in range(nodes.size):
+        # layers[d]: the nodes u > v whose shortest path u -> v has length d
+        dist, layers, d = {v: 0}, [[v]], 0
+        while layers[d] and d + 1 < best_len:  # layer d closes cycles of length d+1
             closes, nxt = False, []
-            for x in layer:
-                for u in radj[x]:
+            for x in layers[d]:
+                for u in preds[x]:
                     if u == v:
                         closes = True
                     elif u > v and u not in dist:
                         dist[u] = d + 1
                         nxt.append(u)
             if closes:
-                best_len, best_start, best_dist = d + 1, v, dist
+                best_len, best_layers = d + 1, layers
                 break
             d += 1
-            layer = nxt
+            layers.append(nxt)
         if best_len == 1:
             break
-    if best_start < 0:
+    if best_layers is None:
         raise AssertionError("no cycle in the tight subgraph")
 
     # With best_len the minimum length, a prefix of length best_len - r
     # can only continue through a node exactly r steps from the start, and
     # every such node completes a cycle, so the smallest one is always right.
-    seq = [best_start]
-    for r in range(best_len - 1, 0, -1):
-        i = seq[-1]
-        seq.append(min(j for j in dst[first[i]:first[i + 1]].tolist() if best_dist.get(j) == r))
+    seq = [best_layers[0][0]]
+    for layer in best_layers[:0:-1]:
+        seq.append(min(j for j in layer if seq[-1] in preds[j]))
     return tuple(nodes[seq].tolist())
 
 
@@ -534,8 +529,7 @@ def min_mean_cycle(g: StateGraph) -> tuple[Fraction, tuple[int, ...]]:
         mu, seed = result.mean, result.cycle
     if mu == Fraction(g.c + 1):
         raise InputError("state graph has no cycle")
-    cycle = _canonical_cycle(g, mu, result.y)
-    return mu, cycle
+    return mu, _canonical_cycle(g, mu, result.y)
 
 
 # ---------------------------------------------------------------------------

@@ -329,6 +329,8 @@ def run_verification(c_max: int = DEFAULT_C_MAX, n_max: int = DEFAULT_N_MAX,
                      cases: int = DEFAULT_CASES,
                      criteria=None) -> list[Row]:
     """Run all (or selected) criteria and return their rows."""
+    if cases < 1:
+        raise InputError(f"cases must be at least 1, got {cases}")
     ctx = _Context(c_max=c_max, n_max=n_max, cases=cases)
     rows = []
     for number in sorted(_CRITERIA):

@@ -69,12 +69,21 @@ def test_ratio_known_values(capsys):
 
 
 def test_ratio_csv_schema(capsys):
-    code, out, _ = run(capsys, "--format", "csv", "ratio", "{1,4}", "{2,3}")
+    code, out, _ = run(capsys, "--format", "csv", "ratio", "{1,4}", "{2,3}", "{2,4}")
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "set,a,b,c,ratio_num,ratio_den,period,eds"
     assert lines[1] == '"{1,4}",4,0,4,2,5,20,false'
     assert lines[2] == '"{2,3}",3,0,3,2,5,15,false'
+    assert lines[3] == '"{2,4}",4,0,4,1,3,12,true'
+
+
+def test_csv_only_for_ratio(capsys):
+    for argv in (["eds", "{1,5}"], ["domnum", "8", "{1,2}"], ["blocks", "parse", "3"],
+                 ["oracle", "{1,2}", "--n-limit", "6"], ["verify-paper", "--cases", "1"]):
+        for where in ([*argv[:1], "--format", "csv", *argv[1:]], ["--format", "csv", *argv]):
+            code, out, err = run(capsys, *where)
+            assert code == 2 and out == "" and "csv" in err
 
 
 def test_ratio_decimal_flag(capsys):
@@ -117,15 +126,32 @@ def test_blocks_commands(capsys):
     assert code == 0 and out.strip() == "false"
 
 
+def _module_env():
+    """Environment for running `python -m domrat` from this checkout."""
+    return dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+
+
 def test_blocks_verify_long_period_answers_at_once():
     # period 10^9 with 1000 members: too few to dominate, which the
     # check must see from the member count, not by walking the period
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-m", "domrat", "blocks", "verify",
-                          "1000000^1000", "{1}"], env=env,
+                          "1000000^1000", "{1}"], env=_module_env(),
                          capture_output=True, text=True, timeout=30)
     assert out.returncode == 0 and out.stdout == "false\n", out.stderr
+
+
+def test_closed_stdout_exits_141_quietly():
+    # the reading end is closed before the command starts, so its first
+    # write fails, as when `| head` has exited
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run([sys.executable, "-m", "domrat", "--format", "json",
+                              "ratio", "{1,8}"], env=_module_env(), stdout=write_end,
+                             stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert out.returncode == 141 and out.stderr == ""
 
 
 def test_blocks_verify_needs_set(capsys):
@@ -207,6 +233,12 @@ def test_verify_paper_small(capsys):
     assert code == 0
     assert "SKIP" in out and "FAIL" not in out
     assert "0 failed" in out
+
+
+def test_verify_paper_needs_a_case(capsys):
+    for cases in ("0", "-3"):
+        code, out, err = run(capsys, "--c-max", "5", "verify-paper", "--cases", cases)
+        assert code == 2 and out == "" and "cases" in err
 
 
 def test_verify_paper_rows_skip_at_engine_caps(monkeypatch):

@@ -541,11 +541,12 @@ def _cycle_nodes_inputs(g):
 
 def _assert_cycle_nodes_match_naive(g):
     args = _cycle_nodes_inputs(g)
-    nodes, first, dst = stategraph._cycle_nodes(*args)
+    nodes = stategraph._cycle_nodes(*args)
     want_nodes, want_edges = tight_cycle_nodes_naive(*args)
     assert nodes.tolist() == want_nodes
-    src = np.repeat(np.arange(len(nodes)), np.diff(first))
-    assert sorted(zip(nodes[src].tolist(), nodes[dst].tolist())) == want_edges
+    preds = stategraph._TightPreds(*args, nodes)
+    edges = [(int(nodes[u]), int(nodes[v])) for v in range(len(nodes)) for u in preds[v]]
+    assert sorted(edges) == want_edges
 
 
 def test_cycle_nodes_match_naive_small_c():
@@ -643,6 +644,20 @@ def test_min_mean_cycle_matches_independent_oracle(els):
     want_mean = karp_min_mean(g)
     assert mean == want_mean
     assert cycle == brute_canonical_cycle(g, want_mean)
+
+
+@pytest.mark.parametrize("els,want", [
+    ([13], (0, 8191)),
+    ([14], (0, 16383)),
+    ([-8, 8], (0, 255, 65280)),
+    ([5, 15], (0, 1023, 31744, 31, 32736)),
+])
+def test_canonical_cycle_among_many_ties(els, want):
+    # gcd > 1 ties many minimizing cycles: for S = {c} every state is on
+    # one, so the prune ends at its dense fixpoint with no edge listed, and
+    # the search reads every state's tight predecessors
+    cert = domination_ratio(GeneratorSet(els), c_max=16)
+    assert cert.cycle == want
 
 
 @pytest.mark.parametrize("els", [[1, 3], [2, 5], [1, -4], [2, 3, -1], [7]])
