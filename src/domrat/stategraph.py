@@ -58,12 +58,42 @@ twice.  For such a state covers(T) determines T (see eds_exists), so each
 state has at most one exact successor: exact transitions form a functional
 graph, and a periodic witness is a cycle found by following successors,
 one array lookup a step.
+
+A set whose steps share a factor g = gcd(S) > 1 is solved on S/g, with
+c' = c/g, and its canonical cycle is lifted.  Window position g(x-1) + r,
+for r in [1, g], is position x of residue class r, and a position and all
+its dominators lie in one class, with differences g times those of S/g;
+the ranges [1, c] and [a+1, a+c] map to [1, c'] and [a'+1, a'+c'].  So a
+state T of S is g states T_r of S/g, with bit k of T_r at bit g*k + r-1
+of T, (T, U) is consistent iff every (T_r, U_r) is, and |T| is the sum of
+the |T_r|: S's state graph is the g-fold product of that of S/g.  Hence:
+
+  * A product cycle of length L projects to a closed walk of length L in
+    each factor.  Each walk weighs at least L*mu', mu' the factor's minimum
+    mean, so mu = g*mu', and the diagonal of a factor cycle attains it.
+  * On a minimizing product cycle every projection weighs exactly L*mu', so
+    it splits into minimizing factor cycles, one of them at most L long;
+    the shortest minimizing product cycle has the factor's shortest length
+    L'.  A projection of length L' is then one such cycle, rotated.
+  * If T_r <= U_r in every factor, with one strict, then T < U: the highest
+    bit where T and U differ is the highest differing bit of some factor.
+    The factor's canonical cycle w, started at its least state, is
+    lexicographically at most every rotation of every shortest minimizing
+    cycle.  So at the first index where a shortest minimizing product
+    cycle P leaves the diagonal of w, each factor of P is at least w's
+    state there and one is larger: the diagonal wins, factor by factor.
+
+So S's canonical cycle spreads bit k of each state of the canonical cycle
+of S/g to bits g*k ... g*k+g-1, its ratio is mu'/c', and its witness is
+{g(x-1) + r : x in W', 1 <= r <= g} with period g*p'.  With g = 1 the
+spread is the identity.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -89,7 +119,11 @@ C_LIMIT = 28
 
 def state_elements(t: int) -> tuple[int, ...]:
     """Members of [1, c] present in a state bitmask."""
-    return tuple(i + 1 for i in range(t.bit_length()) if t >> i & 1)
+    # tuple() of a list, not of a generator: that one is built by resizing,
+    # and CPython files the freed tuple in the free list of a size it was not
+    # taken from, so per-call tuples pile up there until a full collection
+    # (ru_maxrss crept about 0.1 MB a pass over perfbench's ratio_swarm sets)
+    return tuple([i + 1 for i in range(t.bit_length()) if t >> i & 1])
 
 
 def state_of(elements) -> int:
@@ -120,16 +154,20 @@ class StateGraph:
         return 1 << self.c
 
 
+def _check_c(s: GeneratorSet, c_max: int) -> None:
+    """Refuse an empty set, or one with c above min(c_max, C_LIMIT)."""
+    if s.c < 1:
+        raise InputError("generator set must be nonempty")
+    cap = min(c_max, C_LIMIT)
+    if s.c > cap:
+        raise CapExceededError("c", s.c, cap)
+
+
 def build_state_graph(s: GeneratorSet, c_max: int = DEFAULT_C_MAX) -> StateGraph:
     """Construct the state graph for a nonempty generator set with
     c <= min(c_max, C_LIMIT), checked before anything is allocated."""
-    c = s.c
-    if c < 1:
-        raise InputError("generator set must be nonempty")
-    cap = min(c_max, C_LIMIT)
-    if c > cap:
-        raise CapExceededError("c", c, cap)
-    a = s.a
+    _check_c(s, c_max)
+    c, a = s.c, s.a
     v = np.arange(1 << c, dtype=np.int64)
 
     def coverage(line: np.ndarray) -> np.ndarray:
@@ -548,21 +586,28 @@ class RatioCertificate:
 
 def _unroll(cycle, c: int) -> PeriodicSet:
     """Periodic set laying the cycle's states side by side as length-c windows."""
-    return PeriodicSet(len(cycle) * c, (e + i * c for i, t in enumerate(cycle)
-                                        for e in state_elements(t)))
+    # a list, not a generator: see state_elements
+    return PeriodicSet(len(cycle) * c, [e + i * c for i, t in enumerate(cycle)
+                                        for e in state_elements(t)])
 
 
 def domination_ratio(s: GeneratorSet, c_max: int = DEFAULT_C_MAX) -> RatioCertificate:
     """Exact domination ratio with a periodic witness.
 
-    The witness concatenates the minimizing cycle's states as consecutive
+    The witness concatenates the canonical cycle's states as consecutive
     length-c windows; its density equals the ratio and its period is at most
-    c * 2^c.
+    c * 2^c.  The cap applies to S's own c.  With g = gcd(S) the cycle is
+    that of S/g, c' = c/g, with bit k of each state spread to bits
+    g*k ... g*k+g-1 (see the module docstring), and the ratio is the
+    reduced mean over c'.  The checks run against S itself.
     """
-    g = build_state_graph(s, c_max=c_max)
-    mean, cycle = min_mean_cycle(g)
-    c = g.c
-    ratio = mean / c
+    _check_c(s, c_max)
+    c, g = s.c, math.gcd(*s)
+    mean, cycle = min_mean_cycle(build_state_graph(GeneratorSet(x // g for x in s), c_max))
+    spread = (1 << g) - 1
+    # a list, not a generator: see state_elements
+    cycle = tuple([sum(spread << g * k for k in range(c // g) if t >> k & 1) for t in cycle])
+    ratio = mean / (c // g)
     witness = _unroll(cycle, c)
     period = witness.period
     if witness.density != ratio:

@@ -1,3 +1,4 @@
+import math
 import os
 import platform
 import subprocess
@@ -653,11 +654,14 @@ def test_min_mean_cycle_matches_independent_oracle(els):
     ([5, 15], (0, 1023, 31744, 31, 32736)),
 ])
 def test_canonical_cycle_among_many_ties(els, want):
-    # gcd > 1 ties many minimizing cycles: for S = {c} every state is on
-    # one, so the prune ends at its dense fixpoint with no edge listed, and
-    # the search reads every state's tight predecessors
-    cert = domination_ratio(GeneratorSet(els), c_max=16)
-    assert cert.cycle == want
+    # gcd > 1 ties many minimizing cycles on S's own graph: for S = {c}
+    # every state is on one, so the prune ends at its dense fixpoint with no
+    # edge listed, and the search reads every state's tight predecessors.
+    # domination_ratio solves S/gcd(S) instead and must lift the same cycle
+    s = GeneratorSet(els)
+    _, cycle = min_mean_cycle(build_state_graph(s, c_max=16))
+    assert cycle == want
+    assert domination_ratio(s, c_max=16).cycle == want
 
 
 @pytest.mark.parametrize("els", [[1, 3], [2, 5], [1, -4], [2, 3, -1], [7]])
@@ -679,12 +683,44 @@ def test_ratio_bounds():
         assert Fraction(1, len(els) + 1) <= r <= Fraction(1, 2)
 
 
-@pytest.mark.parametrize("d", [2, 3])
+def _assert_lift_matches_unreduced(s):
+    # domination_ratio solves S/gcd(S); min_mean_cycle on S's own graph
+    # gives the certificate it must lift to, field by field
+    mean, cycle = min_mean_cycle(build_state_graph(s))
+    cert = domination_ratio(s)
+    assert cert.ratio == mean / s.c, s
+    assert cert.cycle == cycle, s
+    assert cert.witness == PeriodicSet(len(cycle) * s.c, (
+        e + i * s.c for i, t in enumerate(cycle) for e in state_elements(t))), s
+    assert cert.period == len(cycle) * s.c, s
+
+
+# the gcd > 1 sets of perfbench's ratio_swarm: elements from +-8, one to
+# three of them, c <= 12, S and -S (89 sets, five their own negation)
+_SWARM_GCD_SETS = [GeneratorSet(els) for k in (1, 2, 3)
+                   for els in combinations([x for x in range(-8, 9) if x], k)
+                   if math.gcd(*els) > 1 and GeneratorSet(els).c <= 12]
+
+
+@pytest.mark.parametrize("d", range(2, 9))
 def test_scale_invariance(d):
-    for els in [[1, 2], [1, -2], [2, 3]]:
-        s = GeneratorSet(els)
+    bases = [GeneratorSet(els) for els in ([1, 2], [1, -2], [2, 3])]
+    bases += [GeneratorSet(x // d for x in s) for s in _SWARM_GCD_SETS
+              if math.gcd(*s) == d]
+    for s in bases:
         if s.c * d <= 16:
             assert domination_ratio(scale(s, d)).ratio == domination_ratio(s).ratio
+            _assert_lift_matches_unreduced(scale(s, d))
+
+
+def test_cap_applies_to_own_c():
+    # the lift solves {1} for {16}, but the cap is still checked on c = 16
+    with pytest.raises(CapExceededError) as err:
+        domination_ratio(GeneratorSet([16]), c_max=15)
+    assert "c=16" in str(err.value)
+    with pytest.raises(CapExceededError) as err:
+        domination_ratio(GeneratorSet([2, 40]), c_max=40)
+    assert "c=40" in str(err.value) and "28" in str(err.value)
 
 
 def test_congruence_families_have_efficient_sets():
