@@ -87,6 +87,26 @@ So S's canonical cycle spreads bit k of each state of the canonical cycle
 of S/g to bits g*k ... g*k+g-1, its ratio is mu'/c', and its witness is
 {g(x-1) + r : x in W', 1 <= r <= g} with period g*p'.  With g = 1 the
 spread is the identity.
+
+The perfect witness of S is the same spread of that of S/g:
+
+  * A state of S is single (covers no position twice) iff each of its g
+    factors is, because both sides of the counting identity above add up
+    over the residue classes.  Interleaving is a bijection on masks, so
+    covers(U) == uncovered(T) iff that holds in every factor: S's exact
+    successor is the product of those of S/g, factor by factor.
+  * Let R' be the single states of S/g whose walk reaches a cycle, and f'
+    the one in R' with the least covers.  Covers are distinct among single
+    states, and interleaved masks are ordered factor by factor (as above),
+    so the first start in ascending-covers order whose factors all lie in
+    R' is the diagonal of f'.
+  * Every earlier walk has a factor outside R'.  That factor's walk ends at
+    a missing successor, so the product walk does too, and it never
+    touches the diagonal's orbit, whose factors all stay in R'.  For the
+    same reason f' is S/g's first walk to close.
+  * The diagonal walk moves in lockstep with the walk from f', so it
+    re-enters at the diagonal of the state where S/g's walk re-enters: the
+    witness is {g(x-1) + r : x in W', 1 <= r <= g} with period g*p'.
 """
 
 from __future__ import annotations
@@ -584,11 +604,23 @@ class RatioCertificate:
     period: int
 
 
-def _unroll(cycle, c: int) -> PeriodicSet:
-    """Periodic set laying the cycle's states side by side as length-c windows."""
-    # a list, not a generator: see state_elements
-    return PeriodicSet(len(cycle) * c, [e + i * c for i, t in enumerate(cycle)
-                                        for e in state_elements(t)])
+def _reduced_graph(s: GeneratorSet, c_max: int) -> tuple[int, StateGraph]:
+    """g = gcd(S) and the state graph of S/g.  The cap is checked on S's own
+    c, so a set is refused exactly when its unreduced graph would be."""
+    _check_c(s, c_max)
+    g = math.gcd(*s)
+    return g, build_state_graph(GeneratorSet(x // g for x in s), c_max)
+
+
+def _lift(cycle, g: int, c: int) -> tuple[tuple[int, ...], PeriodicSet]:
+    """A cycle of S/g as S's cycle, bit k of each state spread to bits
+    g*k ... g*k+g-1 (see the module docstring), and the periodic set laying
+    the spread states side by side as S's length-c windows."""
+    spread = (1 << g) - 1
+    # lists, not generators: see state_elements
+    cycle = tuple([sum(spread << g * k for k in range(c // g) if t >> k & 1) for t in cycle])
+    return cycle, PeriodicSet(len(cycle) * c, [e + i * c for i, t in enumerate(cycle)
+                                               for e in state_elements(t)])
 
 
 def domination_ratio(s: GeneratorSet, c_max: int = DEFAULT_C_MAX) -> RatioCertificate:
@@ -601,14 +633,11 @@ def domination_ratio(s: GeneratorSet, c_max: int = DEFAULT_C_MAX) -> RatioCertif
     g*k ... g*k+g-1 (see the module docstring), and the ratio is the
     reduced mean over c'.  The checks run against S itself.
     """
-    _check_c(s, c_max)
-    c, g = s.c, math.gcd(*s)
-    mean, cycle = min_mean_cycle(build_state_graph(GeneratorSet(x // g for x in s), c_max))
-    spread = (1 << g) - 1
-    # a list, not a generator: see state_elements
-    cycle = tuple([sum(spread << g * k for k in range(c // g) if t >> k & 1) for t in cycle])
-    ratio = mean / (c // g)
-    witness = _unroll(cycle, c)
+    c = s.c
+    g, graph = _reduced_graph(s, c_max)
+    mean, cycle = min_mean_cycle(graph)
+    ratio = mean / graph.c
+    cycle, witness = _lift(cycle, g, c)
     period = witness.period
     if witness.density != ratio:
         raise CertificateError(f"witness density {witness.density} != {ratio} for {s}")
@@ -651,16 +680,22 @@ def eds_exists(s: GeneratorSet,
     at most one exact successor: the state whose covers mask equals
     uncovered(T).  Walking from each state in ascending-covers order, the
     first walk to re-enter itself gives the cycle, started where it
-    re-enters.
+    re-enters.  That is where it started: mirrored, the same argument
+    (max T + a is the highest window position T hits) shows that
+    uncovered(T) determines T, so no state has two exact predecessors.
+
+    As in domination_ratio, the cap applies to S's own c and the walk runs
+    on S/g, g = gcd(S): its cycle is spread to S's states and unrolled at
+    S's c, which is the cycle S's own walk finds (see the module
+    docstring).  The exact cover is checked against S itself.
     """
-    g = build_state_graph(s, c_max=c_max)
-    c = g.c
+    g, graph = _reduced_graph(s, c_max)
     # the left side is int64; the right, at most 2c, cannot wrap bitwise_count's uint8
-    single = (g.weights * (len(s) + 1) + np.bitwise_count(g.uncovered)
-              == np.bitwise_count(g.covers) + c)
+    single = (graph.weights * (len(s) + 1) + np.bitwise_count(graph.uncovered)
+              == np.bitwise_count(graph.covers) + graph.c)
     states = np.flatnonzero(single)
-    states = states[np.argsort(g.covers[states])]  # distinct covers, see above
-    keys, want = g.covers[states], g.uncovered[states]
+    states = states[np.argsort(graph.covers[states])]  # distinct covers, see above
+    keys, want = graph.covers[states], graph.uncovered[states]
     found = np.searchsorted(keys, want)
     succ = np.where(keys.take(found, mode="clip") == want, found, -1).tolist()
 
@@ -677,7 +712,7 @@ def eds_exists(s: GeneratorSet,
     cycle = [u]
     while (u := succ[u]) != cycle[0]:
         cycle.append(u)
-    witness = _unroll(states[cycle].tolist(), c)
+    _, witness = _lift(states[cycle].tolist(), g, s.c)
     if any(k != 1 for k in coverage_counts(witness, s)):
         raise CertificateError(f"EDS witness does not cover exactly once for {s}")
     return True, witness

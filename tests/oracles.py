@@ -315,15 +315,64 @@ def brute_small_period_exact_cover(s, coverage_counts, periodic_set, max_period=
 
 def exact_transitions_naive(s):
     """Pairs (T, T') of c-bit window contents that together dominate every
-    j in [a+1, c+a] exactly once, counted directly on the two windows."""
+    j in [a+1, c+a] exactly once, counted directly on the two windows.
+
+    Bit j-1 of a line is position j, with T on [1, c] and T' on [c+1, 2c].
+    For each d in {0} u S the line shifted by d marks the positions hit by
+    step d; every window position is hit exactly once iff those marks
+    number c in the window and miss none of it.  Two prunings skip only
+    pairs that fail: a T hitting a window position twice on its own, and a
+    T' with a member x whose x + a T already hits (that member, at x + c,
+    hits x + c - b = x + a by step -b, or step 0 when b = 0).
+    """
     a, c = s.a, s.c
+    full, window = (1 << c) - 1, ((1 << c) - 1) << a
+
+    def marks(line):
+        """The window positions hit, counted with repeats, and their union."""
+        count, union = 0, 0
+        for d in (0, *s):
+            m = (line << d if d >= 0 else line >> -d) & window
+            count, union = count + m.bit_count(), union | m
+        return count, union
+
     for t in range(1 << c):
-        for u in range(1 << c):
-            members = {i + 1 for i in range(c) if t >> i & 1}
-            members |= {i + 1 + c for i in range(c) if u >> i & 1}
-            if all((j in members) + sum(j - step in members for step in s) == 1
-                   for j in range(a + 1, c + a + 1)):
+        count, union = marks(t)
+        if count != union.bit_count():
+            continue
+        free = ~(union >> a) & full
+        u = free
+        while True:  # the submasks of free, descending
+            if marks(t | u << c) == (c, window):
                 yield t, u
+            if not u:
+                break
+            u = (u - 1) & free
+
+
+def first_exact_cycle_naive(s, covers):
+    """The exact cycle a walk over S's own states meets first, started
+    where its walk re-enters itself; None if no walk closes.
+
+    Each state hitting no position twice starts a walk, in ascending order
+    of covers[state], that follows exact_transitions_naive until a state
+    has no exact successor or was reached before.
+    """
+    succ = {}
+    for t, u in exact_transitions_naive(s):
+        if succ.setdefault(t, u) != u:
+            raise AssertionError(f"state {t} of {s} has two exact successors")
+    seen = set()
+    for start in sorted((t for t in range(1 << s.c) if hits_no_position_twice(t, s)),
+                        key=lambda t: int(covers[t])):
+        path, t = [], start
+        while t is not None and t not in seen:
+            seen.add(t)
+            path.append(t)
+            t = succ.get(t)
+        if t in path:
+            return path[path.index(t):]
+    return None
 
 
 def hits_no_position_twice(t, s):

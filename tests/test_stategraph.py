@@ -32,6 +32,7 @@ from oracles import (
     brute_canonical_cycle,
     brute_small_period_exact_cover,
     exact_transitions_naive,
+    first_exact_cycle_naive,
     full_state,
     hits_no_position_twice,
     is_edge,
@@ -683,16 +684,28 @@ def test_ratio_bounds():
         assert Fraction(1, len(els) + 1) <= r <= Fraction(1, 2)
 
 
+def _unrolled(cycle, c):
+    return PeriodicSet(len(cycle) * c, (e + i * c for i, t in enumerate(cycle)
+                                        for e in state_elements(t)))
+
+
 def _assert_lift_matches_unreduced(s):
-    # domination_ratio solves S/gcd(S); min_mean_cycle on S's own graph
-    # gives the certificate it must lift to, field by field
-    mean, cycle = min_mean_cycle(build_state_graph(s))
+    # domination_ratio and eds_exists solve S/gcd(S); min_mean_cycle on S's
+    # own graph gives the certificate the ratio must lift to, field by
+    # field, and the first exact cycle of the walk over S's own states, from
+    # the direct window count, the perfect witness
+    g = build_state_graph(s)
+    mean, cycle = min_mean_cycle(g)
     cert = domination_ratio(s)
     assert cert.ratio == mean / s.c, s
     assert cert.cycle == cycle, s
-    assert cert.witness == PeriodicSet(len(cycle) * s.c, (
-        e + i * s.c for i, t in enumerate(cycle) for e in state_elements(t))), s
+    assert cert.witness == _unrolled(cycle, s.c), s
     assert cert.period == len(cycle) * s.c, s
+    if s.c <= 12:  # the oracle enumerates pairs of windows
+        cycle = first_exact_cycle_naive(s, g.covers)
+        exists, witness = eds_exists(s)
+        assert exists == (cycle is not None), s
+        assert cycle is None or witness == _unrolled(cycle, s.c), s
 
 
 # the gcd > 1 sets of perfbench's ratio_swarm: elements from +-8, one to
@@ -713,14 +726,32 @@ def test_scale_invariance(d):
             _assert_lift_matches_unreduced(scale(s, d))
 
 
+def test_lifted_answers_never_build_own_graph(monkeypatch):
+    # {2,28} is solved as {1,14}: a graph above c = 14 would be S's own
+    # 2^28 states, which this test must never allocate
+    build = stategraph.build_state_graph
+
+    def capped(s, c_max=stategraph.DEFAULT_C_MAX):
+        if s.c > 14:
+            raise AssertionError(f"built the graph of {s}")
+        return build(s, c_max)
+
+    monkeypatch.setattr(stategraph, "build_state_graph", capped)
+    exists, witness = eds_exists(GeneratorSet([2, 28]), c_max=28)
+    assert exists and witness.period == 84
+    cert = domination_ratio(GeneratorSet([2, 28]), c_max=28)
+    assert cert.ratio == Fraction(1, 3) and cert.period == 84
+
+
 def test_cap_applies_to_own_c():
     # the lift solves {1} for {16}, but the cap is still checked on c = 16
-    with pytest.raises(CapExceededError) as err:
-        domination_ratio(GeneratorSet([16]), c_max=15)
-    assert "c=16" in str(err.value)
-    with pytest.raises(CapExceededError) as err:
-        domination_ratio(GeneratorSet([2, 40]), c_max=40)
-    assert "c=40" in str(err.value) and "28" in str(err.value)
+    for solve in (domination_ratio, eds_exists):
+        with pytest.raises(CapExceededError) as err:
+            solve(GeneratorSet([16]), c_max=15)
+        assert "c=16" in str(err.value)
+        with pytest.raises(CapExceededError) as err:
+            solve(GeneratorSet([2, 40]), c_max=40)
+        assert "c=40" in str(err.value) and "28" in str(err.value)
 
 
 def test_congruence_families_have_efficient_sets():
@@ -809,11 +840,14 @@ def small_exact_transitions():
 
 def test_exact_transitions_are_a_function(small_exact_transitions):
     # the lemma eds_exists rests on, checked on the direct window definition:
-    # no state has two exact successors
+    # no state has two exact successors, nor (its mirror) two exact
+    # predecessors, so a walk that closes starts on its cycle
     assert len(small_exact_transitions) == 191
     for s, exact in small_exact_transitions:
         tails = [t for t, _ in exact]
         assert len(tails) == len(set(tails)), s
+        heads = [u for _, u in exact]
+        assert len(heads) == len(set(heads)), s
 
 
 def test_single_coverage_by_counting(small_exact_transitions):
