@@ -6,6 +6,18 @@ branch-and-bound over bitmask coverage, small enough to serve as an
 independent cross-check for the infinite-graph engine.  A search branches
 on vertices from candidate groups precomputed per call and returns the
 cover it finds, from which the witness is built.
+
+Coset lemma.  Let g = gcd(n, C).  The subgroup of Z_n generated by C is
+gZ_n, so every edge u -> u+r stays in u's coset, and x -> a + g*x maps
+Z_{n/g} with C/g isomorphically onto the coset a + gZ_n.  A set dominates
+a disjoint union iff it dominates each part, so a minimum dominating set of
+Z_n is the union of minimum ones of the cosets: gamma = g*gamma(Z_{n/g}, C/g).
+
+`oracle_scan` needs gamma alone, so it solves one coset and checks the
+lifted cover on the whole of Z_n.  `domination_number` is deliberately not
+split: its witness and the period identities of verify-paper compare this
+solver with the state-graph engine, which already lifts gcd > 1 sets by the
+same lemma, so they keep a solve of the whole Z_n that does not rest on it.
 """
 
 from __future__ import annotations
@@ -13,6 +25,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable
 
 from .core import GeneratorSet
@@ -136,14 +149,33 @@ def _exists_cover(uncovered: int, budget: int, cover: list[int],
             return None
 
 
+def _search_gamma(n: int, cover: list[int],
+                  doms: list[list[int]]) -> tuple[int, list[int]]:
+    """Domination number of Z_n and the vertices besides 0 of a minimum
+    dominating set, from the cover masks and dominator lists.
+
+    Iterative deepening from the counting lower bound; vertex 0 is forced
+    into the set, which is sound because rotating any dominating set keeps
+    it dominating.
+    """
+    per_vertex = len(doms[0])
+    full = (1 << n) - 1
+    lower = -(-n // per_vertex)  # ceil
+    for gamma in range(max(lower, 1), n + 1):
+        found = _exists_cover(full & ~cover[0], gamma - 1, cover, doms, per_vertex)
+        if found is not None:
+            return gamma, found
+    # k = n always works
+    raise AssertionError(f"no dominating set of size <= {n} found")
+
+
 def domination_number(inst: CirculantInstance,
                       n_max: int = DEFAULT_N_MAX) -> tuple[int, tuple[int, ...]]:
     """Exact domination number and the lexicographically least witness.
 
-    Iterative deepening from the counting lower bound; vertex 0 is forced
-    into the set, which is sound because rotating any dominating set keeps
-    it dominating.  The witness is re-checked against the connection set,
-    without the cover masks, before it is returned.
+    Solves the whole Z_n, whatever gcd(n, C) is (see the module docstring).
+    The witness is re-checked against the connection set, without the cover
+    masks, before it is returned.
     """
     n = inst.n
     if n > n_max:
@@ -151,15 +183,7 @@ def domination_number(inst: CirculantInstance,
     cover = _cover_masks(inst)
     doms = _dominator_lists(inst)
     per_vertex = len(doms[0])
-    full = (1 << n) - 1
-
-    lower = -(-n // per_vertex)  # ceil
-    for gamma in range(max(lower, 1), n + 1):
-        found = _exists_cover(full & ~cover[0], gamma - 1, cover, doms, per_vertex)
-        if found is not None:
-            break
-    else:  # k = n always works
-        raise AssertionError(f"no dominating set of size <= {n} found")
+    gamma, found = _search_gamma(n, cover, doms)
 
     # grow the witness smallest-vertex-first; each prefix must keep a
     # feasible completion among strictly larger vertices.  `completion` is
@@ -167,7 +191,7 @@ def domination_number(inst: CirculantInstance,
     # something new and is feasible, so only smaller vertices need a search
     witness = [0]
     completion = sorted(found)
-    uncovered = full & ~cover[0]
+    uncovered = ((1 << n) - 1) & ~cover[0]
     budget = gamma - 1
     while completion:
         for v in range(witness[-1] + 1, completion[0]):
@@ -188,28 +212,54 @@ def domination_number(inst: CirculantInstance,
     return gamma, tuple(witness)
 
 
+def _lift_cover(found: list[int], g: int) -> set[int]:
+    """The cover {0} + found of Z_{n/g}, copied to every coset of gZ_n."""
+    return {a + g * x for x in (0, *found) for a in range(g)}
+
+
+def _scan_gamma(inst: CirculantInstance) -> int:
+    """Domination number of Z_n, solved on Z_{n/g} with C/g for
+    g = gcd(n, C) and certified by the lifted cover on the whole Z_n."""
+    n = inst.n
+    g = gcd(n, *inst.connection)
+    coset = CirculantInstance(n // g, [r // g for r in inst.connection])
+    gamma, found = _search_gamma(coset.n, _cover_masks(coset), _dominator_lists(coset))
+    gamma *= g
+    lifted = _lift_cover(found, g)
+    if len(lifted) != gamma or not is_dominating(inst, lifted):
+        raise CertificateError(
+            f"cover {sorted(lifted)} of Z_{n} does not dominate with {gamma} vertices")
+    return gamma
+
+
 def oracle_scan(s: GeneratorSet, n_limit: int,
                 n_max: int = DEFAULT_N_MAX) -> list[tuple[int, int]]:
-    """Domination numbers gamma(Z_n, S mod n) for every usable n up to n_limit."""
+    """Domination numbers gamma(Z_n, S mod n) for every usable n up to n_limit.
+
+    Only gamma is computed, no witness.  Each Z_n is solved on one coset of
+    the subgroup its connection set generates (the module docstring's
+    lemma), and the cover found, copied to every coset, is checked to
+    dominate Z_n with exactly gamma vertices.  The cap applies to Z_n's own
+    n and is checked before any search.
+    """
     if not s.elements:
         raise InputError("generator set must be nonempty")
     start = max(abs(x) for x in s) + 1
     if n_limit < start:
         raise InputError(f"n_limit {n_limit} below smallest usable modulus {start}")
-    out = []
-    for n in range(start, n_limit + 1):  # n > max|x|, so no generator is 0 mod n
-        gamma, _ = domination_number(residues(s, n), n_max=n_max)
-        out.append((n, gamma))
-    return out
+    if n_limit > n_max:
+        raise CapExceededError("n", max(start, n_max + 1), n_max)
+    # n > max|x|, so no generator is 0 mod n
+    return [(n, _scan_gamma(residues(s, n))) for n in range(start, n_limit + 1)]
 
 
 def ratio_oracle(s: GeneratorSet, n_limit: int,
                  n_max: int = DEFAULT_N_MAX) -> Fraction:
-    """Least gamma(Z_n, S mod n)/n over n up to n_limit.
+    """Least gamma(Z_n, S mod n)/n over n up to n_limit, from `oracle_scan`.
 
     Always an upper bound for the infinite-graph domination ratio; equal to
     it once n_limit reaches the period of an optimal periodic dominating
-    set.
+    set.  Like the scan, it refuses an n_limit above n_max before solving.
     """
     scan = oracle_scan(s, n_limit, n_max=n_max)
     return min(Fraction(gamma, n) for n, gamma in scan)

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -173,6 +174,62 @@ def test_oracle_scan_range_and_errors():
         oracle_scan(GeneratorSet([]), 10)
 
 
+def test_scan_refuses_cap_before_any_search(monkeypatch):
+    def search(*args):
+        raise AssertionError("searched before refusing the cap")
+
+    monkeypatch.setattr(circulant, "_exists_cover", search)
+    for els, limit, cap, first in (([-4, 2, 4], 37, 36, 37), ([9], 12, 8, 10)):
+        for scan in (oracle_scan, ratio_oracle):
+            with pytest.raises(CapExceededError) as err:
+                scan(GeneratorSet(els), limit, n_max=cap)
+            assert str(err.value) == f"n={first} exceeds cap {cap}"
+
+
+def _circulant_scan_sets() -> list[tuple[int, ...]]:
+    """The sets of perfbench's circulant_scan: elements from +-6, one to
+    three of them, c <= 8, one of each pair S, -S."""
+    out: list[tuple[int, ...]] = []
+    for k in (1, 2, 3):
+        for els in combinations([x for x in range(-6, 7) if x], k):
+            if GeneratorSet(els).c <= 8 and tuple(sorted(-x for x in els)) not in out:
+                out.append(els)
+    return out
+
+
+# circulant_scan scans each set at every n up to 27; these instances split
+_CIRC_SETS = _circulant_scan_sets()
+_SPLIT = [(els, n, residues(GeneratorSet(els), n)) for els in _CIRC_SETS
+          for n in range(max(map(abs, els)) + 1, 28)
+          if math.gcd(n, *residues(GeneratorSet(els), n).connection) > 1]
+
+
+def test_scan_matches_unreduced_solve_on_split_instances():
+    assert len(_CIRC_SETS) == 106 and len(_SPLIT) == 191
+    scans = {els: dict(oracle_scan(GeneratorSet(els), 27, n_max=27))
+             for els in {els for els, _, _ in _SPLIT}}
+    for els, n, inst in _SPLIT:
+        assert scans[els][n] == domination_number(inst, n_max=27)[0], (els, n)
+
+
+def _brute_gamma(inst: CirculantInstance) -> int:
+    n, steps = inst.n, {0, *inst.connection}
+    for k in range(1, n + 1):
+        for c in combinations(range(n), k):
+            if all(any((j - v) % n in steps for v in c) for j in range(n)):
+                return k
+    raise AssertionError(inst)
+
+
+def test_scan_matches_brute_force_on_small_split_instances():
+    small = [(els, n, inst) for els, n, inst in _SPLIT if n <= 12]
+    assert small
+    scans = {els: dict(oracle_scan(GeneratorSet(els), 12))
+             for els in {els for els, _, _ in small}}
+    for els, n, inst in small:
+        assert scans[els][n] == _brute_gamma(inst), (els, n)
+
+
 def test_oracle_upper_bounds_engine():
     for els in [[1, 2], [2, 3], [1, -2], [2, 5], [1, 4]]:
         s = GeneratorSet(els)
@@ -191,22 +248,53 @@ def test_period_identity_with_engine():
         assert gamma == cert.ratio * cert.period
 
 
-def test_search_failure_raises_under_optimize_flag():
-    # k = n always dominates, so a search finding nothing is an internal
-    # error; it must say so under python -O too, not fail later on None
-    code = """
-from domrat import circulant
-circulant._exists_cover = lambda *args: None
-try:
-    circulant.domination_number(circulant.CirculantInstance(5, [1]))
-except AssertionError as err:
-    print("raised", err)
-"""
+def _run_optimized(code: str) -> subprocess.CompletedProcess:
+    """`code` run under python -O against this tree's src."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert out.stdout.startswith("raised"), out.stderr
+    return subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_search_failure_raises_under_optimize_flag():
+    # k = n always dominates, so a search finding nothing is an internal
+    # error; it must say so under python -O too, not fail later on None,
+    # on the witness path and on the scan's gamma-only path alike
+    out = _run_optimized("""
+from domrat import circulant
+from domrat.core import GeneratorSet
+circulant._exists_cover = lambda *args: None
+for solve in (lambda: circulant.domination_number(circulant.CirculantInstance(5, [1])),
+              lambda: circulant.oracle_scan(GeneratorSet([1]), 5)):
+    try:
+        solve()
+    except AssertionError as err:
+        print("raised", err)
+""")
+    lines = out.stdout.splitlines()
+    assert len(lines) == 2 and all(line.startswith("raised") for line in lines), out.stderr
+
+
+def test_scan_certificate_refuses_bad_lift_under_optimize_flag():
+    # {-6,3} first splits at n = 9 (C = {3}, g = 3); a lift that drops the
+    # coset 3Z_9 has too few vertices, and a lift to gamma consecutive
+    # vertices has the right size but leaves Z_7 undominated
+    out = _run_optimized("""
+from domrat import circulant
+from domrat.core import GeneratorSet
+from domrat.errors import CertificateError
+lift = circulant._lift_cover
+for bad in (lambda found, g: {v for v in lift(found, g) if g == 1 or v % g},
+            lambda found, g: set(range(g * (len(found) + 1)))):
+    circulant._lift_cover = bad
+    try:
+        circulant.oracle_scan(GeneratorSet([-6, 3]), 27, n_max=27)
+    except CertificateError as err:
+        print("raised", err)
+""")
+    lines = out.stdout.splitlines()
+    assert len(lines) == 2 and all(line.startswith("raised") for line in lines), out.stderr
+    assert "of Z_9 " in lines[0] and "of Z_7 " in lines[1], lines
 
 
 def test_witness_self_check(monkeypatch):
