@@ -55,9 +55,9 @@ since each of its (|S|+1)|T| (member, step) pairs lands either in T's
 own window, where c - |uncovered(T)| positions are hit, or in the span the
 next window reads as covers(T); the counts agree iff no position is hit
 twice.  For such a state covers(T) determines T (see eds_exists), so each
-state has at most one exact successor: exact transitions form a functional
-graph, and a periodic witness is a cycle found by following successors,
-one array lookup a step.
+state has at most one exact successor: exact transitions form a pointer
+map, and a periodic witness is one of its cycles, found as the threshold
+tests find the cycles of their predecessor pointers.
 
 A set whose steps share a factor g = gcd(S) > 1 is solved on S/g, with
 c' = c/g, and its canonical cycle is lifted.  Window position g(x-1) + r,
@@ -95,18 +95,14 @@ The perfect witness of S is the same spread of that of S/g:
     over the residue classes.  Interleaving is a bijection on masks, so
     covers(U) == uncovered(T) iff that holds in every factor: S's exact
     successor is the product of those of S/g, factor by factor.
-  * Let R' be the single states of S/g whose walk reaches a cycle, and f'
-    the one in R' with the least covers.  Covers are distinct among single
-    states, and interleaved masks are ordered factor by factor (as above),
-    so the first start in ascending-covers order whose factors all lie in
-    R' is the diagonal of f'.
-  * Every earlier walk has a factor outside R'.  That factor's walk ends at
-    a missing successor, so the product walk does too, and it never
-    touches the diagonal's orbit, whose factors all stay in R'.  For the
-    same reason f' is S/g's first walk to close.
-  * The diagonal walk moves in lockstep with the walk from f', so it
-    re-enters at the diagonal of the state where S/g's walk re-enters: the
-    witness is {g(x-1) + r : x in W', 1 <= r <= g} with period g*p'.
+  * So a product state lies on an exact cycle iff every factor does: L
+    steps return it iff they return each factor, and factor cycles of
+    lengths L_r all close after lcm(L_r) steps.
+  * Covers are distinct among single states, and interleaved masks are
+    ordered factor by factor (as above), so the product cycle state of
+    least covers is the diagonal of S/g's, and so is its cycle: with W' and
+    p' the witness and period of S/g, S's witness is
+    {g(x-1) + r : x in W', 1 <= r <= g} with period g*p'.
 """
 
 from __future__ import annotations
@@ -253,6 +249,43 @@ class _ThresholdResult:
     cycle: list[int] | None = None  # a cycle of that mean, in edge order
 
 
+def _pointer_cycle_nodes(f: np.ndarray, nxt: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Nodes on cycles of the pointer map f (f[v] == -1: none), ascending.
+
+    The cycle nodes are the fixpoint image of the pointer map, nodes without
+    a pointer being sinks.  D starts as the image of f over the nodes with
+    a pointer; each step squares nxt on D, so that nxt[v] is 2^k steps along
+    v's walk, and sets D to nxt[D] less the sinks.  D only shrinks, and once
+    a step keeps its size nxt permutes D: D is then exactly the cycle nodes.
+    nxt and pos are int64 scratch arrays of length n, overwritten.
+    """
+    n = f.shape[0]
+    mark = pos.view(np.bool_)[:n + 1]  # n + 1 of its 8n bytes, for n >= 1
+    mark.fill(False)
+    mark[f] = True  # a missing pointer (-1) marks the spare slot mark[n]
+    d = np.flatnonzero(mark[:n])
+    d = d[f[d] >= 0]  # ascending, and stays so
+    walk, size = f, -1
+    while d.size != size:
+        size = d.size
+        ahead = walk[d]
+        ahead = np.where(f[ahead] < 0, ahead, walk[ahead])
+        nxt[d] = ahead
+        walk = nxt
+        mark[d] = False
+        mark[ahead] = True
+        d = d[mark[d]]
+    return d
+
+
+def _orbit(f: np.ndarray, v: int) -> list[int]:
+    """v, f[v], f[f[v]], ...: the cycle of the pointer map f through v."""
+    cycle = [v]
+    while (u := int(f[cycle[-1]])) != v:
+        cycle.append(u)
+    return cycle
+
+
 def _scan_pred_cycles(pred: np.ndarray, weights: np.ndarray,
                       nxt: np.ndarray, pos: np.ndarray) -> tuple[Fraction, int] | None:
     """Smallest mean among the predecessor-pointer cycles, with the smallest
@@ -264,31 +297,11 @@ def _scan_pred_cycles(pred: np.ndarray, weights: np.ndarray,
     every pointer cycle strictly negative for the current threshold, so
     every mean found is below it (_test_threshold checks that).
 
-    The cycle nodes are the fixpoint image of the pointer map, nodes without
-    a pointer being sinks.  D starts as the image of pred over the nodes with
-    a pointer; each step squares nxt on D, so that nxt[v] is 2^k steps along
-    v's walk, and sets D to nxt[D] less the sinks.  D only shrinks, and once
-    a step keeps its size nxt permutes D: D is then exactly the cycle nodes.
-    Pointer doubling inside D labels each cycle by its smallest node and
-    stops once a doubling lowers no label.  nxt and pos are int64 scratch
-    arrays of length n, overwritten.
+    Pointer doubling among the cycle nodes (_pointer_cycle_nodes) labels
+    each cycle by its smallest node until a doubling lowers none; nxt and
+    pos are scratch.
     """
-    n = pred.shape[0]
-    mark = pos.view(np.bool_)[:n + 1]  # pos is free until the labelling
-    mark.fill(False)
-    mark[pred] = True  # a missing pointer (-1) marks the spare slot mark[n]
-    d = np.flatnonzero(mark[:n])
-    d = d[pred[d] >= 0]  # ascending, and stays so
-    walk, size = pred, -1
-    while d.size != size:
-        size = d.size
-        ahead = walk[d]
-        ahead = np.where(pred[ahead] < 0, ahead, walk[ahead])
-        nxt[d] = ahead
-        walk = nxt
-        mark[d] = False
-        mark[ahead] = True
-        d = d[mark[d]]
+    d = _pointer_cycle_nodes(pred, nxt, pos)
     m = d.size
     if not m:
         return None  # every walk ends at a node without a pointer
@@ -438,10 +451,8 @@ def _test_threshold(g: StateGraph, mu: Fraction,
                 mean, node = found
                 if mean >= mu:  # not an assert: it must hold under python -O
                     raise AssertionError(f"pointer cycle of mean {mean} not below {mu}")
-                cycle = [node]  # pred points backwards along the cycle
-                while (v := int(pred[cycle[-1]])) != node:
-                    cycle.append(v)
-                return _ThresholdResult(converged=False, mean=mean, cycle=cycle[::-1])
+                cycle = _orbit(pred, node)[::-1]  # pred points backwards
+                return _ThresholdResult(converged=False, mean=mean, cycle=cycle)
             if rnd == n + 1:
                 raise AssertionError("value iteration passed round n+1 without a cycle")
     raise AssertionError("unreachable")
@@ -678,16 +689,15 @@ def eds_exists(s: GeneratorSet,
     covers(T) leaves covers of the rest of T, since no position is covered
     twice, and repeating recovers T.  So covers(T) determines T, and T has
     at most one exact successor: the state whose covers mask equals
-    uncovered(T).  Walking from each state in ascending-covers order, the
-    first walk to re-enter itself gives the cycle, started where it
-    re-enters.  That is where it started: mirrored, the same argument
-    (max T + a is the highest window position T hits) shows that
-    uncovered(T) determines T, so no state has two exact predecessors.
+    uncovered(T).  The witness is the successor map's cycle through its
+    cycle state of least covers.  Mirrored, the same argument (max T + a is
+    the highest window position T hits) shows that uncovered(T) determines
+    T, so no state off a cycle leads onto one, and a walk from each state in
+    ascending-covers order would close first at that same state.
 
-    As in domination_ratio, the cap applies to S's own c and the walk runs
-    on S/g, g = gcd(S): its cycle is spread to S's states and unrolled at
-    S's c, which is the cycle S's own walk finds (see the module
-    docstring).  The exact cover is checked against S itself.
+    As in domination_ratio, the cap applies to S's own c, and the cycle of
+    S/g, g = gcd(S), is spread to S's states and unrolled at S's c (see the
+    module docstring); the exact cover is checked against S itself.
     """
     g, graph = _reduced_graph(s, c_max)
     # the left side is int64; the right, at most 2c, cannot wrap bitwise_count's uint8
@@ -697,22 +707,11 @@ def eds_exists(s: GeneratorSet,
     states = states[np.argsort(graph.covers[states])]  # distinct covers, see above
     keys, want = graph.covers[states], graph.uncovered[states]
     found = np.searchsorted(keys, want)
-    succ = np.where(keys.take(found, mode="clip") == want, found, -1).tolist()
-
-    walk = [-1] * len(succ)  # the start of the walk that reached each state
-    for start in range(len(succ)):
-        u = start
-        while u >= 0 and walk[u] < 0:
-            walk[u] = start
-            u = succ[u]
-        if u >= 0 and walk[u] == start:
-            break
-    else:
+    succ = np.where(keys.take(found, mode="clip") == want, found, -1)
+    on_cycle = _pointer_cycle_nodes(succ, np.empty_like(succ), np.empty_like(succ))
+    if not on_cycle.size:
         return False, None
-    cycle = [u]
-    while (u := succ[u]) != cycle[0]:
-        cycle.append(u)
-    _, witness = _lift(states[cycle].tolist(), g, s.c)
+    _, witness = _lift(states[_orbit(succ, int(on_cycle[0]))].tolist(), g, s.c)
     if any(k != 1 for k in coverage_counts(witness, s)):
         raise CertificateError(f"EDS witness does not cover exactly once for {s}")
     return True, witness

@@ -205,6 +205,29 @@ def pointer_cycles(pred, starts=None):
     return cycles
 
 
+def first_closed_walk(succ):
+    """The cycle that walks along the pointer map succ (-1: no pointer),
+    started from node 0, 1, ... in turn, close first, listed from the node
+    where its walk re-enters itself; or None if no walk closes.
+
+    Each node keeps the start of the first walk that reached it, so a walk
+    that meets its own start's mark has closed a cycle."""
+    walk = [-1] * len(succ)
+    for start in range(len(succ)):
+        u = start
+        while u >= 0 and walk[u] < 0:
+            walk[u] = start
+            u = succ[u]
+        if u >= 0 and walk[u] == start:
+            break
+    else:
+        return None
+    cycle = [u]
+    while (u := succ[u]) != cycle[0]:
+        cycle.append(u)
+    return cycle
+
+
 def pred_cycle_mean_naive(pred, weights, mu=None, starts=None):
     """Smallest mean among the pointer cycles reached from `starts` (every
     node by default), below mu if given, with the smallest node of the

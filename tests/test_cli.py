@@ -7,10 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from domrat import blockdsl, circulant, stategraph, verification
+from domrat import blockdsl, circulant, cli, stategraph, verification
 from domrat.cli import main, parse_set_literal
 from domrat.core import GeneratorSet, blocks_to_periodic, verify_dominating
-from domrat.errors import InputError
+from domrat.errors import CapExceededError, InputError
 from domrat.stategraph import domination_ratio
 
 from oracles import translate
@@ -89,6 +89,10 @@ def test_csv_only_for_ratio(capsys):
 def test_ratio_decimal_flag(capsys):
     _, out, _ = run(capsys, "--decimal", "ratio", "{1,4}")
     assert "0.400000" in out
+    code, out, _ = run(capsys, "ratio", "{1,4}", "--decimal", "--format", "json")
+    data = json.loads(out)
+    assert code == 0 and list(data)[-1] == "ratio_decimal"
+    assert data["ratio_decimal"] == "0.400000"
 
 
 def test_output_deterministic(capsys):
@@ -124,6 +128,23 @@ def test_blocks_commands(capsys):
     assert code == 0 and out.strip() == "true"
     code, out, _ = run(capsys, "blocks", "verify", "(3)", "{1,4}")
     assert code == 0 and out.strip() == "false"
+    code, out, _ = run(capsys, "--format", "json", "blocks", "parse", "(2 3)^2 1")
+    assert code == 0 and json.loads(out) == {"sizes": [2, 3, 2, 3, 1], "count": 5,
+                                             "period": 11}
+    code, out, _ = run(capsys, "--format", "json", "blocks", "density", "(3 2)")
+    assert code == 0 and json.loads(out) == {"sizes": [3, 2],
+                                             "density": {"num": 2, "den": 5}}
+    code, out, _ = run(capsys, "--format", "json", "blocks", "verify", "(3)", "{1,5}")
+    assert code == 0 and json.loads(out) == {"sizes": [3], "set": [1, 5],
+                                             "dominating": True}
+
+
+def test_blocks_density_decimal(capsys):
+    code, out, _ = run(capsys, "--decimal", "blocks", "density", "(3)")
+    assert code == 0 and out == "density: 1/3\ndensity (approx): 0.333333\n"
+    code, out, _ = run(capsys, "--decimal", "--format", "json", "blocks", "density", "(3)")
+    assert code == 0 and json.loads(out) == {"sizes": [3], "density": {"num": 1, "den": 3},
+                                             "density_decimal": "0.333333"}
 
 
 def _module_env():
@@ -171,6 +192,27 @@ def test_oracle_command(capsys):
     assert code == 0 and "false (upper bound only)" in out
 
 
+def test_oracle_decimal(capsys):
+    code, out, _ = run(capsys, "--decimal", "oracle", "{1,2}", "--n-limit", "6")
+    assert code == 0 and "best (approx): 0.333333\n" in out
+    code, out, _ = run(capsys, "--decimal", "--format", "json", "oracle", "{1,2}",
+                       "--n-limit", "6")
+    data = json.loads(out)
+    assert code == 0 and list(data)[-1] == "best_decimal"
+    assert data["best_decimal"] == "0.333333"
+
+
+def test_oracle_reraises_other_caps(capsys, monkeypatch):
+    # only a refusal of c itself leaves the scan uncertified; any other cap
+    # the engine hits is an error, exit 3
+    def refuse(s, c_max):
+        raise CapExceededError("packed (value, node) span", 1 << 62, 1 << 61)
+
+    monkeypatch.setattr(cli, "domination_ratio", refuse)
+    code, out, err = run(capsys, "oracle", "{1,2}", "--n-limit", "6")
+    assert code == 3 and out == "" and "packed (value, node) span" in err
+
+
 def test_oracle_past_engine_limit_is_uncertified(capsys):
     # c = 29 is under --c-max but over the engine's own limit of 28
     code, out, _ = run(capsys, "--c-max", "40", "oracle", "{1,29}", "--n-limit", "30")
@@ -190,6 +232,9 @@ def test_exit_codes(capsys):
     assert code == 3
     code, _, err = run(capsys, "domnum", "0", "{1,2}")
     assert code == 2 and "input error" in err
+    for cap in ("--c-max", "--n-max"):
+        code, out, err = run(capsys, cap, "0", "ratio", "{1,2}")
+        assert code == 2 and out == "" and "caps must be positive" in err
     code, _, err = run(capsys, "blocks", "parse", "3^0")
     assert code == 2 and "position" in err
     code, _, err = run(capsys, "blocks", "parse", "3²")
@@ -267,12 +312,24 @@ def test_verify_paper_rows_skip_at_engine_caps(monkeypatch):
 
 
 def test_verify_paper_detects_corruption(capsys, monkeypatch):
-    # poison one closed form; the ratio sweep must then fail and exit 1
-    monkeypatch.setattr(verification, "ratio_one_s",
-                        lambda s: Fraction(1, 2))
-    code, out, _ = run(capsys, "--c-max", "4", "verify-paper", "--cases", "2")
+    # poison one closed form per engine answer; every criterion that checks
+    # it must then fail, and the run exit 1
+    monkeypatch.setattr(verification, "ratio_one_s", lambda s: Fraction(1, 2))
+    monkeypatch.setattr(verification, "eds_predicted", lambda s, t: None)
+    monkeypatch.setattr(verification, "circulant_consecutive", lambda n, s: 0)
+    monkeypatch.setattr(verification, "circulant_pm13", lambda n: 0)
+    code, out, _ = run(capsys, "--c-max", "4", "--format", "json", "verify-paper",
+                       "--cases", "2")
     assert code == 1
-    assert "FAIL" in out
+    rows = json.loads(out)["rows"]
+    failed = {r["criterion"] for r in rows if r["status"] == "FAIL"}
+    assert failed == {1, 3, 4, 5, 6}
+    # every row of criteria 3, 5 and 6 that ran; criterion 4's {1,s} rows
+    # read circulant_one_s, which is not poisoned
+    for r in rows:
+        if r["criterion"] in (3, 5, 6) and r["status"] != "SKIP":
+            assert r["status"] == "FAIL", r
+    assert sum(r["criterion"] == 4 and r["status"] == "FAIL" for r in rows) == 8
 
 
 def test_failed_self_check_exits_4(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -32,6 +33,7 @@ from oracles import (
     brute_canonical_cycle,
     brute_small_period_exact_cover,
     exact_transitions_naive,
+    first_closed_walk,
     first_exact_cycle_naive,
     full_state,
     hits_no_position_twice,
@@ -248,6 +250,26 @@ def test_pred_cycle_scan_long_tails():
         weights = rng.integers(0, 4, n)
         want = pred_cycle_mean_naive(pred, weights)
         _check_scan(pred, weights, None if want is None else want[0])
+
+
+def test_pointer_cycle_nodes_on_partial_injections():
+    # eds_exists's successor map is a partial injection (see
+    # test_exact_transitions_are_a_function), and its witness is the orbit
+    # of the least cycle node: the cycle a walk from each node in turn
+    # closes first, since no walk from off a cycle runs onto one
+    rng = np.random.default_rng(2026)
+    closed = 0
+    for _ in range(400):
+        n = int(rng.integers(1, 80))
+        f = rng.permutation(n)
+        f[rng.random(n) < rng.random()] = -1
+        scratch = [np.empty(n, dtype=np.int64) for _ in range(2)]
+        nodes = stategraph._pointer_cycle_nodes(f, *scratch)
+        assert nodes.tolist() == sorted(v for cyc in pointer_cycles(f) for v in cyc)
+        want = first_closed_walk(f.tolist())
+        assert (stategraph._orbit(f, int(nodes[0])) if nodes.size else None) == want
+        closed += want is not None
+    assert 100 < closed < 390, closed  # both outcomes are exercised
 
 
 def _threshold_calls(g):
@@ -873,10 +895,37 @@ def test_eds_matches_naive_exact_transitions(small_exact_transitions):
                        for i in range(n)), s
 
 
+def _lift_changed(change):
+    """stategraph._lift with its witness passed through change(witness, c)."""
+    lift = stategraph._lift
+
+    def lifted(cycle, g, c):
+        cycle, witness = lift(cycle, g, c)
+        return cycle, change(witness, c)
+    return lifted
+
+
+def _one_residue_dropped(u, c):
+    return PeriodicSet(u.period, u.sorted_residues()[1:])
+
+
+def _period_past_bound(u, c):
+    # the residues repeated k times: the density holds, the period does not
+    k = (c << c) // u.period + 1
+    return PeriodicSet(k * u.period, [r + i * u.period for i in range(k) for r in u.residues])
+
+
 def test_ratio_self_check_raises(monkeypatch):
-    monkeypatch.setattr(stategraph, "verify_dominating", lambda u, s: False)
-    with pytest.raises(CertificateError):
-        domination_ratio(GeneratorSet([1, 2]))
+    # each check on its own: a witness that does not dominate, one of the
+    # wrong density, and one whose period passes c*2^c
+    for name, patch, message in [
+            ("verify_dominating", lambda u, s: False, "does not dominate"),
+            ("_lift", _lift_changed(_one_residue_dropped), "witness density"),
+            ("_lift", _lift_changed(_period_past_bound), "exceeds c*2^c")]:
+        with monkeypatch.context() as m:
+            m.setattr(stategraph, name, patch)
+            with pytest.raises(CertificateError, match=re.escape(message)):
+                domination_ratio(GeneratorSet([1, 2]))
 
 
 def test_eds_self_check_raises(monkeypatch):
@@ -886,22 +935,13 @@ def test_eds_self_check_raises(monkeypatch):
 
 
 def test_self_checks_survive_optimize_flag():
-    code = """
-from domrat import GeneratorSet, stategraph
-from domrat.errors import CertificateError
-stategraph.verify_dominating = lambda u, s: False
-stategraph.coverage_counts = lambda u, s: [2]
-for check in (stategraph.domination_ratio, stategraph.eds_exists):
-    try:
-        check(GeneratorSet([1, 2]))
-    except CertificateError:
-        print("raised")
-"""
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert out.stdout.split() == ["raised", "raised"], out.stderr
+    # the self-check tests above, rerun with asserts stripped
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = subprocess.run([sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          "tests/test_stategraph.py", "-k", "self_check_raises"],
+                         cwd=root, env=env, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0 and "2 passed" in out.stdout, out.stdout + out.stderr
 
 
 def test_no_predecessor_never_improves():
