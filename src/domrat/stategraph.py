@@ -46,18 +46,14 @@ position twice on its own and
 
     uncovered(T) == covers(T')
 
-(the ratio path needs only the subset).  A state covers no position twice
-on either side iff
-
-    (|S|+1)|T| == c - |uncovered(T)| + |covers(T)|
-
-since each of its (|S|+1)|T| (member, step) pairs lands either in T's
-own window, where c - |uncovered(T)| positions are hit, or in the span the
-next window reads as covers(T); the counts agree iff no position is hit
-twice.  For such a state covers(T) determines T (see eds_exists), so each
-state has at most one exact successor: exact transitions form a pointer
-map, and a periodic witness is one of its cycles, found as the threshold
-tests find the cycles of their predecessor pointers.
+(the ratio path needs only the subset).  Member x with step d and member
+y with step d' hit the same position iff x - y = d' - d, so a state is
+single (covers no position twice, on either side) iff no two of its
+members differ by an element of Delta = {d' - d : d < d' in S u {0}}.
+For such a state covers(T) determines T (see eds_exists), so each state
+has at most one exact successor: exact transitions form a pointer map,
+and a periodic witness is one of its cycles, found as the threshold tests
+find the cycles of their predecessor pointers.
 
 A set whose steps share a factor g = gcd(S) > 1 is solved on S/g, with
 c' = c/g, and its canonical cycle is lifted.  Window position g(x-1) + r,
@@ -90,19 +86,18 @@ spread is the identity.
 
 The perfect witness of S is the same spread of that of S/g:
 
-  * A state of S is single (covers no position twice) iff each of its g
-    factors is, because both sides of the counting identity above add up
-    over the residue classes.  Interleaving is a bijection on masks, so
-    covers(U) == uncovered(T) iff that holds in every factor: S's exact
-    successor is the product of those of S/g, factor by factor.
+  * A state of S is single iff each of its g factors is: Delta(S) =
+    g*Delta(S/g), so two members at a Delta(S) difference lie in one
+    residue class, as members of one factor at a Delta(S/g) difference.
+    Interleaving is a bijection on masks, so covers(U) == uncovered(T)
+    iff that holds in every factor: S's exact successor is the product of
+    those of S/g, factor by factor.
   * So a product state lies on an exact cycle iff every factor does: L
     steps return it iff they return each factor, and factor cycles of
     lengths L_r all close after lcm(L_r) steps.
   * Covers are distinct among single states, and interleaved masks are
     ordered factor by factor (as above), so the product cycle state of
-    least covers is the diagonal of S/g's, and so is its cycle: with W' and
-    p' the witness and period of S/g, S's witness is
-    {g(x-1) + r : x in W', 1 <= r <= g} with period g*p'.
+    least covers is the diagonal of S/g's, and so is its cycle.
 """
 
 from __future__ import annotations
@@ -179,12 +174,9 @@ def _check_c(s: GeneratorSet, c_max: int) -> None:
         raise CapExceededError("c", s.c, cap)
 
 
-def build_state_graph(s: GeneratorSet, c_max: int = DEFAULT_C_MAX) -> StateGraph:
-    """Construct the state graph for a nonempty generator set with
-    c <= min(c_max, C_LIMIT), checked before anything is allocated."""
-    _check_c(s, c_max)
+def _masks(s: GeneratorSet, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """uncovered and covers (see the module docstring) of int64 states of s."""
     c, a = s.c, s.a
-    v = np.arange(1 << c, dtype=np.int64)
 
     def coverage(line: np.ndarray) -> np.ndarray:
         # line bit i is position i+1; a member at x dominates x + step
@@ -194,10 +186,15 @@ def build_state_graph(s: GeneratorSet, c_max: int = DEFAULT_C_MAX) -> StateGraph
         return cov
 
     window = np.int64(((1 << c) - 1) << a)  # line bits of positions [a+1, a+c]
-    uncovered = (~coverage(v) & window) >> a
-    covers = (coverage(v << c) & window) >> a
-    weights = np.bitwise_count(v).astype(np.int64)
-    return StateGraph(c, uncovered, covers, weights)
+    return (~coverage(states) & window) >> a, (coverage(states << c) & window) >> a
+
+
+def build_state_graph(s: GeneratorSet, c_max: int = DEFAULT_C_MAX) -> StateGraph:
+    """Construct the state graph for a nonempty generator set with
+    c <= min(c_max, C_LIMIT), checked before anything is allocated."""
+    _check_c(s, c_max)
+    v = np.arange(1 << s.c, dtype=np.int64)
+    return StateGraph(s.c, *_masks(s, v), np.bitwise_count(v).astype(np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -615,12 +612,12 @@ class RatioCertificate:
     period: int
 
 
-def _reduced_graph(s: GeneratorSet, c_max: int) -> tuple[int, StateGraph]:
-    """g = gcd(S) and the state graph of S/g.  The cap is checked on S's own
-    c, so a set is refused exactly when its unreduced graph would be."""
+def _reduced(s: GeneratorSet, c_max: int) -> tuple[int, GeneratorSet]:
+    """g = gcd(S) and S/g.  The cap is checked on S's own c, so a set is
+    refused exactly when its unreduced graph would be."""
     _check_c(s, c_max)
     g = math.gcd(*s)
-    return g, build_state_graph(GeneratorSet(x // g for x in s), c_max)
+    return g, GeneratorSet(x // g for x in s)
 
 
 def _lift(cycle, g: int, c: int) -> tuple[tuple[int, ...], PeriodicSet]:
@@ -645,9 +642,9 @@ def domination_ratio(s: GeneratorSet, c_max: int = DEFAULT_C_MAX) -> RatioCertif
     reduced mean over c'.  The checks run against S itself.
     """
     c = s.c
-    g, graph = _reduced_graph(s, c_max)
-    mean, cycle = min_mean_cycle(graph)
-    ratio = mean / graph.c
+    g, r = _reduced(s, c_max)
+    mean, cycle = min_mean_cycle(build_state_graph(r, c_max))
+    ratio = mean / r.c
     cycle, witness = _lift(cycle, g, c)
     period = witness.period
     if witness.density != ratio:
@@ -663,22 +660,25 @@ def domination_ratio(s: GeneratorSet, c_max: int = DEFAULT_C_MAX) -> RatioCertif
 # efficient dominating sets (exact cover)
 
 
+def _single_states(s: GeneratorSet) -> np.ndarray:
+    """States of s hitting no position twice, ascending: x joins each state
+    so far with no member at x - delta for delta in Delta (module docstring)."""
+    delta = {e - d for d in (0, *s) for e in (0, *s) if e > d}
+    states = np.zeros(1, dtype=np.int64)
+    for x in range(1, s.c + 1):
+        near = sum(1 << (x - 1 - d) for d in delta if d < x)
+        states = np.concatenate((states, states[(states & near) == 0] | (1 << (x - 1))))
+    return states
+
+
 def eds_exists(s: GeneratorSet,
                c_max: int = DEFAULT_C_MAX) -> tuple[bool, PeriodicSet | None]:
     """Decide whether some set dominates every integer exactly once.
 
     Transitions are restricted to pairs covering each window position
     exactly once; such a set exists iff the restricted relation has a
-    cycle, and any cycle unrolls into a periodic witness.
-
-    A state on such a cycle covers no position twice, neither in its own
-    window nor where the next window's covers mask reads, and that is a
-    count.  Each of T's (|S|+1)|T| pairs (member x, step d in {0} u S)
-    lands at x + d in [1-b, a+c]: either in T's window [a+1, a+c], where
-    c - |uncovered(T)| positions are hit, or in [1-b, a], whose hits
-    covers(T) records c places to the right.  So (|S|+1)|T| >=
-    c - |uncovered(T)| + |covers(T)|, with equality iff no position is hit
-    twice.
+    cycle, and any cycle unrolls into a periodic witness.  The states on
+    one are single (see the module docstring): _single_states lists them.
 
     The restricted relation is a function, as tilings of Z are forced from
     left to right (D. J. Newman, "Tesselation of integers", 1977).  Take T
@@ -699,13 +699,11 @@ def eds_exists(s: GeneratorSet,
     S/g, g = gcd(S), is spread to S's states and unrolled at S's c (see the
     module docstring); the exact cover is checked against S itself.
     """
-    g, graph = _reduced_graph(s, c_max)
-    # the left side is int64; the right, at most 2c, cannot wrap bitwise_count's uint8
-    single = (graph.weights * (len(s) + 1) + np.bitwise_count(graph.uncovered)
-              == np.bitwise_count(graph.covers) + graph.c)
-    states = np.flatnonzero(single)
-    states = states[np.argsort(graph.covers[states])]  # distinct covers, see above
-    keys, want = graph.covers[states], graph.uncovered[states]
+    g, r = _reduced(s, c_max)
+    states = _single_states(r)
+    uncovered, covers = _masks(r, states)
+    order = np.argsort(covers)  # distinct covers, see above
+    states, keys, want = states[order], covers[order], uncovered[order]
     found = np.searchsorted(keys, want)
     succ = np.where(keys.take(found, mode="clip") == want, found, -1)
     on_cycle = _pointer_cycle_nodes(succ, np.empty_like(succ), np.empty_like(succ))

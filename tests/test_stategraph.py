@@ -17,7 +17,7 @@ from domrat import stategraph
 from domrat.circulant import domination_number, ratio_oracle, residues
 from domrat.core import GeneratorSet, PeriodicSet, coverage_counts, verify_dominating
 from domrat.errors import CapExceededError, CertificateError, InputError
-from domrat.formulas import cong_family
+from domrat.formulas import cong_family, eds_predicted
 from domrat.stategraph import (
     StateGraph,
     build_state_graph,
@@ -749,18 +749,24 @@ def test_scale_invariance(d):
 
 
 def test_lifted_answers_never_build_own_graph(monkeypatch):
-    # {2,28} is solved as {1,14}: a graph above c = 14 would be S's own
-    # 2^28 states, which this test must never allocate
+    # eds_exists builds no state graph at all; domination_ratio solves
+    # {2,28} as {1,14}: a graph above c = 14 would be S's own 2^28 states,
+    # which this test must never allocate
     build = stategraph.build_state_graph
+
+    def refused(s, c_max=stategraph.DEFAULT_C_MAX):
+        raise AssertionError(f"eds_exists built the graph of {s}")
 
     def capped(s, c_max=stategraph.DEFAULT_C_MAX):
         if s.c > 14:
             raise AssertionError(f"built the graph of {s}")
         return build(s, c_max)
 
+    monkeypatch.setattr(stategraph, "build_state_graph", refused)
+    for els, c_max, period in (([2, 28], 28, 84), ([1, 20], 20, 60)):
+        exists, witness = eds_exists(GeneratorSet(els), c_max=c_max)
+        assert exists and witness.period == period, els
     monkeypatch.setattr(stategraph, "build_state_graph", capped)
-    exists, witness = eds_exists(GeneratorSet([2, 28]), c_max=28)
-    assert exists and witness.period == 84
     cert = domination_ratio(GeneratorSet([2, 28]), c_max=28)
     assert cert.ratio == Fraction(1, 3) and cert.period == 84
 
@@ -872,15 +878,32 @@ def test_exact_transitions_are_a_function(small_exact_transitions):
         assert len(heads) == len(set(heads)), s
 
 
-def test_single_coverage_by_counting(small_exact_transitions):
-    # the filter eds_exists applies: (|S|+1)|T| == c - |uncovered(T)| +
-    # |covers(T)| on the graph's arrays iff no position is hit twice
+def test_single_coverage_by_differences(small_exact_transitions):
+    # a state hits no position twice iff no two of its members differ by
+    # an element of Delta = {d' - d : d < d' in S u {0}}, and
+    # _single_states lists exactly those states, ascending
     for s, _ in small_exact_transitions:
-        g = build_state_graph(s)
-        for t in states(g):
-            hit = g.c - int(g.uncovered[t]).bit_count() + int(g.covers[t]).bit_count()
-            counted = (len(s) + 1) * int(g.weights[t]) == hit
-            assert counted == hits_no_position_twice(t, s), (s, t)
+        delta = {e - d for d in (0, *s) for e in (0, *s) if e > d}
+        single = []
+        for t in range(1 << s.c):
+            apart = all(y - x not in delta for x, y in combinations(state_elements(t), 2))
+            assert apart == hits_no_position_twice(t, s), (s, t)
+            if apart:
+                single.append(t)
+        assert stategraph._single_states(s).tolist() == single, s
+
+
+@pytest.mark.parametrize("t", [*range(17, 29), *range(-16, -28, -1)])
+def test_eds_follows_the_paper_law_to_c_limit(t):
+    # {1, t} has a perfect witness iff t = 2 mod 3, at c = 17..28, where
+    # eds_exists lists the single states alone; each witness tiles Z with
+    # period 3c
+    s = GeneratorSet([1, t])
+    exists, witness = eds_exists(s, c_max=s.c)
+    assert exists == eds_predicted(1, t)
+    if exists:
+        assert witness.period == 3 * s.c
+        assert all(k == 1 for k in coverage_counts(witness, s))
 
 
 def test_eds_matches_naive_exact_transitions(small_exact_transitions):
