@@ -13,6 +13,7 @@ from domrat.core import GeneratorSet, blocks_to_periodic, verify_dominating
 from domrat.errors import CapExceededError, InputError
 from domrat.stategraph import domination_ratio
 
+from make_cli_golden import GOLDEN, MATRIX, invoke
 from oracles import translate
 
 
@@ -20,6 +21,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_cli_matches_golden(monkeypatch):
+    # every command and blocks action in each format, byte for byte;
+    # tests/make_cli_golden.py writes the file
+    monkeypatch.delenv("DOMRAT_C_MAX", raising=False)
+    golden = json.loads(GOLDEN.read_text())
+    assert [case["argv"] for case in golden] == MATRIX
+    for case in golden:
+        assert invoke(case["argv"]) == case
 
 
 def test_parse_set_literal():
