@@ -1,5 +1,10 @@
 """Command-line front end.
 
+Each command builds its answer once: a JSON payload, the lines of text
+output and, for `ratio` alone, CSV rows.  `_report` prints the one that
+`--format` chooses and passes the command's exit code on; `--format csv`
+on any other command is refused as malformed input.
+
 Exit codes: 0 success, 1 verification failure, 2 malformed input,
 3 resource cap exceeded, 4 internal error (a certificate failed its own
 re-verification, or an unexpected exception), 141 standard output closed
@@ -13,6 +18,8 @@ import csv
 import json
 import os
 import sys
+from collections import Counter
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import blockdsl, verification
@@ -51,132 +58,97 @@ def _fraction_json(x: Fraction) -> dict:
     return {"num": x.numerator, "den": x.denominator}
 
 
-def _decimal(x: Fraction) -> str:
-    return f"{x.numerator / x.denominator:.6f}"
+def _decimal(args, name: str, x: Fraction, payload: dict) -> list[str]:
+    """With --decimal, add x's 6-digit approximation to payload as
+    `<name>_decimal` and return its text line; without, return no line."""
+    if not args.decimal:
+        return []
+    payload[f"{name}_decimal"] = approx = f"{x.numerator / x.denominator:.6f}"
+    return [f"{name} (approx): {approx}"]
 
 
-def _emit_json(payload) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=False))
+def _report(args, payload, lines: list[str], rows=(), code: int = 0) -> int:
+    """Print a command's answer in the --format chosen; return its exit code."""
+    if args.output_format == JSON:
+        print(json.dumps(payload, indent=2))
+    elif args.output_format == CSV:
+        csv.writer(sys.stdout).writerows(rows)
+    else:
+        print(*lines, sep="\n")
+    return code
 
 
 def cmd_ratio(args) -> int:
-    results = [(s, domination_ratio(s, c_max=args.c_max))
-               for s in map(parse_set_literal, args.set)]
-
-    if args.output_format == CSV:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["set", "a", "b", "c", "ratio_num", "ratio_den",
-                         "period", "eds"])
-        for s, cert in results:
-            # exact covers are the dominating sets of density 1/(|S|+1)
-            has_eds = cert.ratio == Fraction(1, len(s) + 1)
-            writer.writerow([str(s), s.a, s.b, s.c, cert.ratio.numerator,
-                             cert.ratio.denominator, cert.period,
-                             "true" if has_eds else "false"])
-        return 0
-
-    if args.output_format == JSON:
-        payloads = []
-        for s, cert in results:
-            payload = {
-                "set": list(s.elements),
-                "ratio": _fraction_json(cert.ratio),
-                "period": cert.period,
-                "witness_blocks": blockdsl.render(periodic_to_blocks(cert.witness)),
-                "cycle_states": [list(state_elements(t)) for t in cert.cycle],
-            }
-            if args.decimal:
-                payload["ratio_decimal"] = _decimal(cert.ratio)
-            payloads.append(payload)
-        _emit_json(payloads[0] if len(payloads) == 1 else payloads)
-        return 0
-
-    for s, cert in results:
-        bound = s.c * (1 << s.c)
-        print(f"set: {s}")
-        print(f"ratio: {cert.ratio}")
-        if args.decimal:
-            print(f"ratio (approx): {_decimal(cert.ratio)}")
-        print(f"period: {cert.period}")
-        print(f"witness: {blockdsl.render(periodic_to_blocks(cert.witness))}")
-        print(f"cycle length: {len(cert.cycle)}")
+    payloads, lines = [], []
+    rows = [["set", "a", "b", "c", "ratio_num", "ratio_den", "period", "eds"]]
+    for s in map(parse_set_literal, args.set):
+        cert = domination_ratio(s, c_max=args.c_max)
+        r, blocks = cert.ratio, blockdsl.render(periodic_to_blocks(cert.witness))
+        payload = {
+            "set": list(s.elements),
+            "ratio": _fraction_json(r),
+            "period": cert.period,
+            "witness_blocks": blocks,
+            "cycle_states": [list(state_elements(t)) for t in cert.cycle],
+        }
+        payloads.append(payload)
         # domination_ratio raises CertificateError on a longer period
-        print(f"period bound c*2^c = {bound}: holds")
-    return 0
+        lines += [f"set: {s}", f"ratio: {r}", *_decimal(args, "ratio", r, payload),
+                  f"period: {cert.period}", f"witness: {blocks}",
+                  f"cycle length: {len(cert.cycle)}",
+                  f"period bound c*2^c = {s.c * (1 << s.c)}: holds"]
+        # exact covers are the dominating sets of density 1/(|S|+1)
+        rows.append([str(s), s.a, s.b, s.c, r.numerator, r.denominator,
+                     cert.period, str(r == Fraction(1, len(s) + 1)).lower()])
+    return _report(args, payloads[0] if len(payloads) == 1 else payloads, lines, rows)
 
 
 def cmd_domnum(args) -> int:
     s = parse_set_literal(args.set)
     inst = residues(s, args.n)
     gamma, witness = domination_number(inst, n_max=args.n_max)
-    if args.output_format == JSON:
-        _emit_json({
-            "n": args.n,
-            "set": list(s.elements),
-            "connection": sorted(inst.connection),
-            "gamma": gamma,
-            "witness": list(witness),
-        })
-    else:
-        print(f"n: {args.n}")
-        print(f"connection: {sorted(inst.connection)}")
-        print(f"gamma: {gamma}")
-        print(f"witness: {' '.join(str(v) for v in witness)}")
-    return 0
+    connection = sorted(inst.connection)
+    payload = {
+        "n": args.n,
+        "set": list(s.elements),
+        "connection": connection,
+        "gamma": gamma,
+        "witness": list(witness),
+    }
+    return _report(args, payload, [f"n: {args.n}", f"connection: {connection}",
+                                   f"gamma: {gamma}",
+                                   f"witness: {' '.join(map(str, witness))}"])
 
 
 def cmd_eds(args) -> int:
     s = parse_set_literal(args.set)
     exists, witness = eds_exists(s, c_max=args.c_max)
     blocks = blockdsl.render(periodic_to_blocks(witness)) if exists else None
-    if args.output_format == JSON:
-        _emit_json({
-            "set": list(s.elements),
-            "exists": exists,
-            "witness_blocks": blocks,
-            "period": witness.period if exists else None,
-        })
-    else:
-        print(f"set: {s}")
-        print(f"exists: {'true' if exists else 'false'}")
-        if exists:
-            print(f"witness: {blocks}")
-            print(f"period: {witness.period}")
-    return 0
+    period = witness.period if exists else None
+    lines = [f"set: {s}", f"exists: {str(exists).lower()}"]
+    if exists:
+        lines += [f"witness: {blocks}", f"period: {period}"]
+    return _report(args, {"set": list(s.elements), "exists": exists,
+                          "witness_blocks": blocks, "period": period}, lines)
 
 
 def cmd_blocks(args) -> int:
     bs = blockdsl.flatten(blockdsl.parse(args.dsl))
+    sizes = list(bs.sizes)
     if args.action == "parse":
-        if args.output_format == JSON:
-            _emit_json({"sizes": list(bs.sizes), "count": len(bs.sizes),
-                        "period": bs.period})
-        else:
-            print(f"sizes: {' '.join(str(v) for v in bs.sizes)}")
-            print(f"count: {len(bs.sizes)}")
-            print(f"period: {bs.period}")
-        return 0
+        lines = [f"sizes: {' '.join(map(str, sizes))}", f"count: {len(sizes)}",
+                 f"period: {bs.period}"]
+        return _report(args, {"sizes": sizes, "count": len(sizes),
+                              "period": bs.period}, lines)
     if args.action == "density":
         d = blocks_to_periodic(bs).density
-        if args.output_format == JSON:
-            payload = {"sizes": list(bs.sizes), "density": _fraction_json(d)}
-            if args.decimal:
-                payload["density_decimal"] = _decimal(d)
-            _emit_json(payload)
-        else:
-            print(f"density: {d}")
-            if args.decimal:
-                print(f"density (approx): {_decimal(d)}")
-        return 0
-    # verify
+        payload = {"sizes": sizes, "density": _fraction_json(d)}
+        return _report(args, payload,
+                       [f"density: {d}", *_decimal(args, "density", d, payload)])
     s = parse_set_literal(args.set)
     ok = verify_dominating(blocks_to_periodic(bs), s)
-    if args.output_format == JSON:
-        _emit_json({"sizes": list(bs.sizes), "set": list(s.elements),
-                    "dominating": ok})
-    else:
-        print("true" if ok else "false")
-    return 0
+    return _report(args, {"sizes": sizes, "set": list(s.elements), "dominating": ok},
+                   [str(ok).lower()])
 
 
 def cmd_oracle(args) -> int:
@@ -190,48 +162,30 @@ def cmd_oracle(args) -> int:
     except CapExceededError as exc:
         if exc.what != "c":
             raise
-    if args.output_format == JSON:
-        payload = {
-            "set": list(s.elements),
-            "n_limit": args.n_limit,
-            "best": _fraction_json(best),
-            "attained_at": attained,
-            "certified": certified,
-            "scan": [[n, g] for n, g in scan],
-        }
-        if args.decimal:
-            payload["best_decimal"] = _decimal(best)
-        _emit_json(payload)
-    else:
-        print(f"set: {s}")
-        print(f"best ratio up to n={args.n_limit}: {best} (at n={attained})")
-        if args.decimal:
-            print(f"best (approx): {_decimal(best)}")
-        if certified is None:
-            print("certified: unknown (c exceeds cap)")
-        else:
-            print(f"certified: {'true' if certified else 'false (upper bound only)'}")
-    return 0
+    payload = {
+        "set": list(s.elements),
+        "n_limit": args.n_limit,
+        "best": _fraction_json(best),
+        "attained_at": attained,
+        "certified": certified,
+        "scan": [[n, g] for n, g in scan],
+    }
+    verdict = {True: "true", False: "false (upper bound only)",
+               None: "unknown (c exceeds cap)"}[certified]
+    return _report(args, payload, [
+        f"set: {s}", f"best ratio up to n={args.n_limit}: {best} (at n={attained})",
+        *_decimal(args, "best", best, payload), f"certified: {verdict}"])
 
 
 def cmd_verify_paper(args) -> int:
     rows = verification.run_verification(c_max=args.c_max, n_max=args.n_max,
                                          cases=args.cases)
-    failed = sum(1 for r in rows if r.status == "FAIL")
-    if args.output_format == JSON:
-        _emit_json({
-            "rows": [{"criterion": r.criterion, "label": r.label,
-                      "status": r.status, "detail": r.detail} for r in rows],
-            "failed": failed,
-        })
-    else:
-        for r in rows:
-            print(f"[{r.status:4s}] criterion {r.criterion:2d}: {r.label}"
-                  + (f" -- {r.detail}" if r.detail else ""))
-        passed = sum(1 for r in rows if r.status == "PASS")
-        skipped = sum(1 for r in rows if r.status == "SKIP")
-        print(f"{passed} passed, {failed} failed, {skipped} skipped")
-    return 1 if failed else 0
+    lines = [f"[{r.status:4s}] criterion {r.criterion:2d}: {r.label}"
+             + (f" -- {r.detail}" if r.detail else "") for r in rows]
+    n = Counter(r.status for r in rows)
+    lines.append(f"{n['PASS']} passed, {n['FAIL']} failed, {n['SKIP']} skipped")
+    return _report(args, {"rows": [asdict(r) for r in rows], "failed": n["FAIL"]},
+                   lines, code=1 if n["FAIL"] else 0)
 
 
 def _add_common_options(parser: argparse.ArgumentParser, top_level: bool) -> None:
