@@ -272,11 +272,7 @@ def _crit9(ctx):
         for _ in range(s):
             combos = [prev + (i,) for prev in combos for i in range(-2, 3)]
         for offs in combos:
-            try:
-                gs = cong_family(s, offs)
-            except InputError:
-                continue  # collision or zero element: outside the family
-            cert = ctx.ratio_within_caps(gs)
+            cert = ctx.ratio_within_caps(cong_family(s, offs))
             if cert is None:
                 continue
             tested += 1

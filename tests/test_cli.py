@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -341,6 +342,48 @@ def test_verify_paper_detects_corruption(capsys, monkeypatch):
         if r["criterion"] in (3, 5, 6) and r["status"] != "SKIP":
             assert r["status"] == "FAIL", r
     assert sum(r["criterion"] == 4 and r["status"] == "FAIL" for r in rows) == 8
+
+
+_REAL_RATIO, _REAL_PARSE = stategraph.domination_ratio, blockdsl.parse
+
+
+def _gamma_plus_one(inst, n_max):
+    gamma, witness = circulant.domination_number(inst, n_max=n_max)
+    return gamma + 1, witness
+
+
+def _period_past_bound(s, c_max):
+    cert = _REAL_RATIO(s, c_max=c_max)
+    return dataclasses.replace(cert, period=s.c * (1 << s.c) + 1)
+
+
+def _wrong_ratio(s, c_max):
+    # at least 1 (bounds), no witness's density (witness), never 1/(s+1)
+    # (congruence), larger on a superset (monotonicity) and different for a
+    # one-signed S and -S (negation)
+    cert = _REAL_RATIO(s, c_max=c_max)
+    return dataclasses.replace(cert, ratio=Fraction(len(s) + (s.elements[-1] > 0)))
+
+
+@pytest.mark.parametrize("module, name, fake, criterion, fails", [
+    (verification, "ratio_pair_dividing", lambda s, t: Fraction(0), 2, 2),
+    (verification, "domination_number", _gamma_plus_one, 7, 10),
+    (verification, "domination_ratio", _period_past_bound, 8, 1),
+    (verification, "domination_ratio", _wrong_ratio, 9, 7),
+    (verification, "ratio_oracle", lambda gs, limit, n_max: Fraction(0), 10, 20),
+    (blockdsl, "parse", lambda text: _REAL_PARSE("1"), 11, 2),
+], ids=["pair-formula", "gamma", "period", "ratio", "oracle", "parse"])
+def test_verify_paper_fails_each_poisoned_check(capsys, monkeypatch, module, name,
+                                                 fake, criterion, fails):
+    # a wrong value behind criterion 2, 7, 8, 9, 10 or 11: each of its rows
+    # that runs fails (criterion 8 stops at its first), and the run exits 1
+    monkeypatch.setattr(module, name, fake)
+    code, out, _ = run(capsys, "--c-max", "6", "--format", "json", "verify-paper",
+                       "--cases", "40")
+    assert code == 1
+    rows = [r for r in json.loads(out)["rows"] if r["criterion"] == criterion]
+    statuses = [r["status"] for r in rows]
+    assert statuses.count("FAIL") == fails and "PASS" not in statuses, rows
 
 
 def test_failed_self_check_exits_4(capsys, monkeypatch):
