@@ -5,7 +5,7 @@ Grammar (whitespace separates terms, no commas):
     structure := term { term } [ "^" "inf" ]
     term      := atom [ "^" int ]
                | "(" term { term } ")" [ "^" int ]
-    atom      := positive decimal integer
+    atom      := positive integer in ASCII digits 0-9
 
 A trailing "^inf" on the whole input is accepted and ignored, since the
 sequence is always understood as repeating infinitely in both directions.
@@ -77,7 +77,8 @@ def expanded_length(e: Union[BlockExpr, Term]) -> int:
     return sum(expanded_length(t) for t in e.terms)
 
 
-_TOKEN = re.compile(r"(\d+)|(inf)|([()^])|(\S)")
+# [0-9], not \d: other scripts' digits are unexpected characters
+_TOKEN = re.compile(r"([0-9]+)|(inf)|([()^])|(\S)")
 
 
 def _number(digits: str, position: int, name: str, zero_kind: str, zero_message: str) -> int:

@@ -17,6 +17,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 from collections import Counter
 from dataclasses import asdict
@@ -37,7 +38,8 @@ TEXT, JSON, CSV = "text", "json", "csv"
 
 
 def parse_set_literal(text: str) -> GeneratorSet:
-    """Parse "{1,-3}" (whitespace allowed, duplicates rejected)."""
+    """Parse "{1,-3}" (whitespace allowed, duplicates rejected).  Elements
+    are ASCII integers: other scripts' digits and underscores are rejected."""
     t = text.strip()
     if not (t.startswith("{") and t.endswith("}")):
         raise InputError(f"set literal must look like {{1,-3}}, got {text!r}")
@@ -48,8 +50,10 @@ def parse_set_literal(text: str) -> GeneratorSet:
     for part in body.split(","):
         part = part.strip()
         try:
+            if not re.fullmatch(r"[+-]?[0-9]+", part):
+                raise ValueError
             elements.append(int(part))
-        except ValueError:
+        except ValueError:  # also longer than int() converts
             raise InputError(f"bad integer {part!r} in set literal") from None
     return GeneratorSet(elements)
 

@@ -75,6 +75,9 @@ REJECTIONS = [
     ("3^x", blockdsl.SYNTAX, 2, "unexpected character 'x'"),
     ("3^(2)", blockdsl.SYNTAX, 2, "exponent must be an integer"),
     ("3²", blockdsl.SYNTAX, 1, "unexpected character '²'"),
+    ("３ ٢^２", blockdsl.SYNTAX, 0, "unexpected character '３'"),
+    ("2 ٢", blockdsl.SYNTAX, 2, "unexpected character '٢'"),
+    ("2^٢", blockdsl.SYNTAX, 2, "unexpected character '٢'"),
     ("2000000", blockdsl.TOO_LARGE, 0, "value 2000000 exceeds 1000000"),
     ("2^2000000", blockdsl.TOO_LARGE, 2, "exponent 2000000 exceeds 1000000"),
     ("1" * 5000, blockdsl.TOO_LARGE, 0, "value of 5000 digits exceeds 1000000"),

@@ -44,6 +44,11 @@ def test_parse_set_literal():
         parse_set_literal("{1,1}")
     with pytest.raises(InputError):
         parse_set_literal("{1,x}")
+    assert parse_set_literal("{+3,-1}").elements == (-1, 3)
+    # ASCII integers only: no other script's digits, no underscores
+    for text in ("{１,٤}", "{٤}", "{1_0}", "{1,-_4}", "{1," + "9" * 5000 + "}"):
+        with pytest.raises(InputError, match="bad integer"):
+            parse_set_literal(text)
 
 
 def test_ratio_text(capsys):
@@ -251,6 +256,11 @@ def test_exit_codes(capsys):
     assert code == 2 and "position" in err
     code, _, err = run(capsys, "blocks", "parse", "3²")
     assert code == 2 and err.startswith("input error: ") and "(at position 1)" in err
+    # ASCII digits only: other scripts' digits and underscores are malformed
+    for argv in (["ratio", "{１,٤}"], ["ratio", "{1_0}"], ["blocks", "parse", "３ ٢^２"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("input error: "), argv
+    assert "'３' (at position 0)" in err
     deep = "(" * 600 + "3" + ")" * 600
     for argv in (["parse", deep], ["verify", deep, "{1,5}"]):
         code, _, err = run(capsys, "blocks", *argv)
@@ -323,6 +333,41 @@ def test_verify_paper_rows_skip_at_engine_caps(monkeypatch):
         c_max=5, cases=20, criteria={8, 9})
 
 
+def test_verify_paper_vacuous_tallies_skip(capsys):
+    # at c_max = 1 no random set, no certificate and no congruence family of
+    # size 2 or 3 is within the caps: those tallies checked nothing, so they
+    # are SKIP rows with the count in their detail, not PASS rows
+    code, out, _ = run(capsys, "--c-max", "1", "--format", "json", "verify-paper",
+                       "--cases", "1")
+    assert code == 0
+    got = {r["label"]: (r["status"], r["detail"]) for r in json.loads(out)["rows"]
+           if r["criterion"] in (8, 9)}
+    none = ("SKIP", "0 random sets, 0 failures")
+    assert got == {
+        "period bound c*2^c": ("SKIP", "0 certificates, worst period/bound = None"),
+        "negation symmetry": none,
+        "superset monotonicity": none,
+        "ratio within [1/(|S|+1), 1/2]": none,
+        "witness dominates with density = ratio": none,
+        "congruence family size 1 has ratio 1/2":
+            ("PASS", "2 parameter choices, 0 failures"),
+        "congruence family size 2 has ratio 1/3":
+            ("SKIP", "0 parameter choices, 0 failures"),
+        "congruence family size 3 has ratio 1/4":
+            ("SKIP", "0 parameter choices, 0 failures"),
+    }
+    code, out, _ = run(capsys, "--c-max", "1", "verify-paper", "--cases", "1")
+    assert code == 0 and out.endswith("45 passed, 0 failed, 114 skipped\n")
+
+
+def test_verify_paper_refuses_unknown_criteria():
+    for criteria in ({12}, {0, 1}, {-1}):
+        with pytest.raises(InputError, match="1..11"):
+            verification.run_verification(c_max=2, cases=1, criteria=criteria)
+    assert {r.criterion for r in verification.run_verification(
+        c_max=2, cases=1, criteria={11})} == {11}
+
+
 def test_verify_paper_detects_corruption(capsys, monkeypatch):
     # poison one closed form per engine answer; every criterion that checks
     # it must then fail, and the run exit 1
@@ -330,18 +375,19 @@ def test_verify_paper_detects_corruption(capsys, monkeypatch):
     monkeypatch.setattr(verification, "eds_predicted", lambda s, t: None)
     monkeypatch.setattr(verification, "circulant_consecutive", lambda n, s: 0)
     monkeypatch.setattr(verification, "circulant_pm13", lambda n: 0)
+    monkeypatch.setattr(verification, "circulant_one_s", lambda n, s: 0)
     code, out, _ = run(capsys, "--c-max", "4", "--format", "json", "verify-paper",
                        "--cases", "2")
     assert code == 1
     rows = json.loads(out)["rows"]
     failed = {r["criterion"] for r in rows if r["status"] == "FAIL"}
     assert failed == {1, 3, 4, 5, 6}
-    # every row of criteria 3, 5 and 6 that ran; criterion 4's {1,s} rows
-    # read circulant_one_s, which is not poisoned
+    # every row of criteria 3, 5 and 6 that ran, and all 12 of criterion 4:
+    # its {1,2} rows read circulant_consecutive, its {1,s} rows circulant_one_s
     for r in rows:
         if r["criterion"] in (3, 5, 6) and r["status"] != "SKIP":
             assert r["status"] == "FAIL", r
-    assert sum(r["criterion"] == 4 and r["status"] == "FAIL" for r in rows) == 8
+    assert sum(r["criterion"] == 4 and r["status"] == "FAIL" for r in rows) == 12
 
 
 _REAL_RATIO, _REAL_PARSE = stategraph.domination_ratio, blockdsl.parse
@@ -365,25 +411,29 @@ def _wrong_ratio(s, c_max):
     return dataclasses.replace(cert, ratio=Fraction(len(s) + (s.elements[-1] > 0)))
 
 
-@pytest.mark.parametrize("module, name, fake, criterion, fails", [
-    (verification, "ratio_pair_dividing", lambda s, t: Fraction(0), 2, 2),
-    (verification, "domination_number", _gamma_plus_one, 7, 10),
-    (verification, "domination_ratio", _period_past_bound, 8, 1),
-    (verification, "domination_ratio", _wrong_ratio, 9, 7),
-    (verification, "ratio_oracle", lambda gs, limit, n_max: Fraction(0), 10, 20),
-    (blockdsl, "parse", lambda text: _REAL_PARSE("1"), 11, 2),
-], ids=["pair-formula", "gamma", "period", "ratio", "oracle", "parse"])
+@pytest.mark.parametrize("module, name, fake, criterion, fails, passes", [
+    (verification, "ratio_pair_dividing", lambda s, t: Fraction(0), 2, 2, 0),
+    (verification, "coverage_counts", lambda u, s: [2], 3, 6, 6),
+    (verification, "domination_number", _gamma_plus_one, 7, 10, 0),
+    (verification, "domination_ratio", _period_past_bound, 8, 1, 0),
+    (verification, "domination_ratio", _wrong_ratio, 9, 7, 0),
+    (verification, "ratio_oracle", lambda gs, limit, n_max: Fraction(0), 10, 20, 0),
+    (blockdsl, "parse", lambda text: _REAL_PARSE("1"), 11, 2, 0),
+], ids=["pair-formula", "exact-cover", "gamma", "period", "ratio", "oracle", "parse"])
 def test_verify_paper_fails_each_poisoned_check(capsys, monkeypatch, module, name,
-                                                 fake, criterion, fails):
-    # a wrong value behind criterion 2, 7, 8, 9, 10 or 11: each of its rows
-    # that runs fails (criterion 8 stops at its first), and the run exits 1
+                                                 fake, criterion, fails, passes):
+    # a wrong value behind criterion 2, 3, 7, 8, 9, 10 or 11: each of its
+    # rows that runs fails (criterion 8 stops at its first), and the run
+    # exits 1.  A witness that covers twice fails only criterion 3's six
+    # rows with a witness ({2,4}, {3,6}, {1,-4}, {1,-1}, {1,2}, {1,5}); its
+    # six rows without one still pass.
     monkeypatch.setattr(module, name, fake)
     code, out, _ = run(capsys, "--c-max", "6", "--format", "json", "verify-paper",
                        "--cases", "40")
     assert code == 1
     rows = [r for r in json.loads(out)["rows"] if r["criterion"] == criterion]
     statuses = [r["status"] for r in rows]
-    assert statuses.count("FAIL") == fails and "PASS" not in statuses, rows
+    assert (statuses.count("FAIL"), statuses.count("PASS")) == (fails, passes), rows
 
 
 def test_failed_self_check_exits_4(capsys, monkeypatch):
