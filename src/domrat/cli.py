@@ -35,6 +35,8 @@ from .errors import CapExceededError, InputError
 from .stategraph import DEFAULT_C_MAX, domination_ratio, eds_exists, state_elements
 
 TEXT, JSON, CSV = "text", "json", "csv"
+# integers as the user writes them: ASCII digits, no underscores
+_ASCII_INT = re.compile(r"[+-]?[0-9]+")
 
 
 def parse_set_literal(text: str) -> GeneratorSet:
@@ -50,12 +52,23 @@ def parse_set_literal(text: str) -> GeneratorSet:
     for part in body.split(","):
         part = part.strip()
         try:
-            if not re.fullmatch(r"[+-]?[0-9]+", part):
+            if not _ASCII_INT.fullmatch(part):
                 raise ValueError
             elements.append(int(part))
         except ValueError:  # also longer than int() converts
             raise InputError(f"bad integer {part!r} in set literal") from None
     return GeneratorSet(elements)
+
+
+def _ascii_int(text: str) -> int:
+    """The argparse type of every numeric option, and the reading of
+    DOMRAT_C_MAX: an ASCII integer, as in parse_set_literal."""
+    try:
+        if not _ASCII_INT.fullmatch(text.strip()):
+            raise ValueError
+        return int(text)
+    except ValueError:  # also longer than int() converts
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _fraction_json(x: Fraction) -> dict:
@@ -201,9 +214,9 @@ def _add_common_options(parser: argparse.ArgumentParser, top_level: bool) -> Non
     def dflt(value):
         return value if top_level else sup
 
-    parser.add_argument("--c-max", type=int, default=dflt(None),
+    parser.add_argument("--c-max", type=_ascii_int, default=dflt(None),
                         help="cap on the window width c (env DOMRAT_C_MAX)")
-    parser.add_argument("--n-max", type=int, default=dflt(DEFAULT_N_MAX),
+    parser.add_argument("--n-max", type=_ascii_int, default=dflt(DEFAULT_N_MAX),
                         help="cap on circulant solver size")
     parser.add_argument("--format", choices=[TEXT, JSON, CSV],
                         default=dflt(TEXT), dest="output_format")
@@ -226,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ratio)
 
     p = sub.add_parser("domnum", help="domination number of a circulant digraph")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_ascii_int)
     p.add_argument("set")
     _add_common_options(p, top_level=False)
     p.set_defaults(func=cmd_domnum)
@@ -245,12 +258,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="circulant scan upper bound for the ratio")
     p.add_argument("set")
-    p.add_argument("--n-limit", type=int, required=True)
+    p.add_argument("--n-limit", type=_ascii_int, required=True)
     _add_common_options(p, top_level=False)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("verify-paper", help="run the whole verification table")
-    p.add_argument("--cases", type=int, default=verification.DEFAULT_CASES,
+    p.add_argument("--cases", type=_ascii_int, default=verification.DEFAULT_CASES,
                    help="random property-test cases")
     _add_common_options(p, top_level=False)
     p.set_defaults(func=cmd_verify_paper)
@@ -263,8 +276,8 @@ def _env_c_max() -> int:
     if text is None:
         return DEFAULT_C_MAX
     try:
-        return int(text)
-    except ValueError:
+        return _ascii_int(text)
+    except argparse.ArgumentTypeError:
         raise InputError(f"DOMRAT_C_MAX must be an integer, got {text!r}") from None
 
 

@@ -33,12 +33,15 @@ test after the first starts its values on the cycle the previous test found,
 not at zero: that reaches the same fixpoint, often in far fewer rounds.
 Once a round improves only a few states, later rounds keep the transform and
 lower it just at the supermasks of those states' masks, re-evaluating only
-the states whose predecessor minimum fell.  The canonical cycle is read
+the states whose predecessor minimum fell.  The transform runs bit by bit;
+on large arrays it runs with a small ufunc buffer, its low bits block by
+cache-sized block (see _subset_transform).  The canonical cycle is read
 off the tight edges of the converged potentials: a prune by subset
 transforms (finished on explicit edges once few pairs are left) keeps the
-states on tight cycles, and the shortest-cycle search looks up a state's
-tight predecessors among them when it first needs them.  All arithmetic
-is integer/Fraction; no floating point anywhere.
+states on tight cycles, its first predecessor test read off the
+certifying round's transform, and the shortest-cycle search looks up a
+state's tight predecessors among them when it first needs them.  All
+arithmetic is integer/Fraction; no floating point anywhere.
 
 Sets dominating every integer exactly once use the same masks.  A pair
 covers each window position exactly once iff neither side covers any
@@ -201,17 +204,60 @@ def build_state_graph(s: GeneratorSet, c_max: int = DEFAULT_C_MAX) -> StateGraph
 # minimum mean cycle
 
 
+# _subset_transform at c >= _UNBUFFERED_MIN_C runs its bit passes with a
+# ufunc buffer of _BUFSIZE entries, and bits below _BLOCK_BITS block by block
+# of 2^_BLOCK_BITS entries (1 MB).  Best of 6-400 interleaved runs on a
+# 2-core x86-64 machine, numpy 2.4: at c = 13, 14, 16, 18, 20 and 22 the
+# transform took 146, 185, 554 us, 2.77, 15.3 and 67.6 ms as the plain loop
+# and 116, 113, 371 us, 1.56, 7.31 and 36.1 ms so.  At c = 12 it took 79
+# against 81-86 us, as close as two runs of the plain loop came, so small
+# graphs keep the plain loop and skip the 3 us of entering np.errstate.
+# Blocks of 2^16 were 6-8% slower than 2^17 at c = 18..22, of 2^18 5-27%
+# and of 2^12 twice as slow; buffers of 128 to 512 entries were within 5%
+# of one another, 1024 3-10% slower and numpy's default 8192 27-41%.
+_UNBUFFERED_MIN_C = 13
+_BLOCK_BITS = 17
+_BUFSIZE = 512
+
+
 def _subset_transform(t: np.ndarray, c: int, ufunc: np.ufunc) -> None:
     """In place: t[m] becomes ufunc reduced over t at all submasks of m.
 
     For supermasks pass t[::-1]: index m of the reversed view is the
     complement of m.  Bit i combines each block of 2^i entries with the
-    block below it.  For 2-, 4- and 8-entry blocks that inner loop is too
-    short, so those bits run as one ufunc call over the transposed view
-    with C iteration order, whose inner loops are the long strided columns;
-    measured for c = 1..18, that form was never slower.
+    block below it, and the bits can run in any order (_subset_bits).
+
+    From c = _UNBUFFERED_MIN_C on, two things make the passes cheaper.
+    numpy buffers a ufunc's strided 2-D operands whose inner runs are short,
+    in chunks of 8192 entries by default, and that copying made bits 4-11
+    cost 2-5 times what a bit >= 12 costs at c = 18; a buffer of _BUFSIZE
+    entries, set inside np.errstate (which restores it on exit), takes most
+    of that away.  And an array of 2^18 entries or more does not fit the
+    per-core L2 cache, so bits 0 .. _BLOCK_BITS-1 run block by block over
+    2^_BLOCK_BITS entries, each block finished while it is cached, before
+    the higher bits run over the whole array.  Below that c the plain loop
+    runs, with no extra numpy call.
     """
-    for i in range(c):
+    if c < _UNBUFFERED_MIN_C:
+        _subset_bits(t, range(c), ufunc)
+        return
+    k = min(c, _BLOCK_BITS)
+    with np.errstate():
+        np.setbufsize(_BUFSIZE)
+        for block in t.reshape(-1, 1 << k):
+            _subset_bits(block, range(k), ufunc)
+        _subset_bits(t, range(k, c), ufunc)
+
+
+def _subset_bits(t: np.ndarray, bits: range, ufunc: np.ufunc) -> None:
+    """The passes of _subset_transform for the given bits, in place.
+
+    For 2-, 4- and 8-entry blocks the inner loop is too short, so those bits
+    run as one ufunc call over the transposed view with C iteration order,
+    whose inner loops are the long strided columns; measured for c = 1..18,
+    that form was never slower.
+    """
+    for i in bits:
         s = 1 << i
         if 1 <= i <= 3:
             cols = t.reshape(-1, 2 * s).T
@@ -244,6 +290,9 @@ class _ThresholdResult:
     y: np.ndarray | None = None
     mean: Fraction | None = None
     cycle: list[int] | None = None  # a cycle of that mean, in edge order
+    # converged: the last round's packed transform, exact for y (see
+    # _test_threshold); _cycle_nodes reads it and overwrites it
+    t: np.ndarray | None = None
 
 
 def _pointer_cycle_nodes(f: np.ndarray, nxt: np.ndarray, pos: np.ndarray) -> np.ndarray:
@@ -375,7 +424,10 @@ def _test_threshold(g: StateGraph, mu: Fraction,
     transform is kept from round to round instead of rebuilt: values only
     fall, so only the supermasks of the improved states' masks can fall,
     and only states whose covers mask fell can improve.  Those sparse
-    rounds give the same y and pred as full rounds, ties included.
+    rounds give the same y and pred as full rounds, ties included.  Either
+    kind of round leaves t the transform of the packed y it started from,
+    so a round that improves nothing returns that t as exact for the
+    final y.
     """
     uncovered, covers, weights, c, n = g.uncovered, g.covers, g.weights, g.c, g.n_states
     p, q = np.int64(mu.numerator), np.int64(mu.denominator)
@@ -390,8 +442,9 @@ def _test_threshold(g: StateGraph, mu: Fraction,
     gval = np.empty(n, dtype=np.int64)
     cand = np.empty(n, dtype=np.int64)
     front = None  # the states the last round improved, while t is kept
+    y_min = int(y.min())  # kept up to date, not recomputed at each round
     for rnd in range(1, n + 2):
-        span = (1 - int(y.min())) * n
+        span = (1 - y_min) * n
         if span >= int(_INF):
             # y stays <= 0, so the keys y << c | node lie in [n - span, n).
             # mu = p/q has q <= n (a cycle length, or 1) and p <= (c+1)q, the
@@ -415,8 +468,9 @@ def _test_threshold(g: StateGraph, mu: Fraction,
             cand += wq
             improved = cand < y
             if not improved.any():
-                return _ThresholdResult(converged=True, y=y)
+                return _ThresholdResult(converged=True, y=y, t=t)
             np.copyto(y, cand, where=improved)
+            y_min = int(y.min())
             np.bitwise_and(gval, n - 1, out=cand)
             np.copyto(pred, cand, where=improved)
             if (n >= _SPARSE_MIN_STATES
@@ -435,8 +489,9 @@ def _test_threshold(g: StateGraph, mu: Fraction,
             better = val < y[front]
             front = front[better]
             if not front.size:
-                return _ThresholdResult(converged=True, y=y)
+                return _ThresholdResult(converged=True, y=y, t=t)
             y[front] = val[better]
+            y_min = min(y_min, int(val.min()))  # the rest of val is >= y
             pred[front] = best[better] & (n - 1)
         if (front is not None
                 and _supermask_count(uncovered[front], c) * _SPARSE_SHARE >= n):
@@ -455,7 +510,8 @@ def _test_threshold(g: StateGraph, mu: Fraction,
     raise AssertionError("unreachable")
 
 
-def _cycle_nodes(g: StateGraph, y: np.ndarray, tgt: np.ndarray) -> np.ndarray:
+def _cycle_nodes(g: StateGraph, y: np.ndarray, tgt: np.ndarray,
+                 t: np.ndarray) -> np.ndarray:
     """States that can lie on a cycle of tight edges, ascending.
 
     Edge u -> v is tight when y(u) == tgt(v) (and u -> v is an edge); with
@@ -467,7 +523,10 @@ def _cycle_nodes(g: StateGraph, y: np.ndarray, tgt: np.ndarray) -> np.ndarray:
     v's surviving predecessors is tgt(v)" says "v has a tight predecessor",
     and likewise for successors with the maximum of tgt.  A dense iteration
     tests every state that way with two subset transforms over all n = 2^c
-    masks, however few survive; one that drops nothing ends the prune.
+    masks, however few survive; one that drops nothing ends the prune.  The
+    first needs only one: t is the certifying round's packed transform of
+    y (_ThresholdResult.t), whose values t >> c are the predecessor minima
+    over all states.  t is then the prune's scratch, overwritten.
     Otherwise the survivor pairs with y(u) == tgt(v) are counted by one
     sort and two searchsorted calls, and once they number at most n those
     pairs are expanded, the tight edges among them kept, and a state
@@ -477,13 +536,8 @@ def _cycle_nodes(g: StateGraph, y: np.ndarray, tgt: np.ndarray) -> np.ndarray:
     """
     uncovered, covers, c, n = g.uncovered, g.covers, g.c, g.n_states
     active = np.ones(n, dtype=bool)
-    t = np.empty(n, dtype=np.int64)
+    in_ok = (t[covers] >> c) == tgt  # _INF >> c is above every tgt (see _INF)
     for _ in range(n + 1):
-        t.fill(_INF)
-        np.minimum.at(t, uncovered[active], y[active])
-        _subset_transform(t, c, np.minimum)
-        in_ok = t[covers] == tgt
-
         t.fill(-_INF)
         np.maximum.at(t, covers[active], tgt[active])
         _subset_transform(t[::-1], c, np.maximum)
@@ -498,6 +552,10 @@ def _cycle_nodes(g: StateGraph, y: np.ndarray, tgt: np.ndarray) -> np.ndarray:
         cnt = np.searchsorted(ts, yv, side="right") - lo
         if int(cnt.sum()) <= n:
             break
+        t.fill(_INF)
+        np.minimum.at(t, uncovered[active], y[active])
+        _subset_transform(t, c, np.minimum)
+        in_ok = t[covers] == tgt
 
     # the pairs (u, order[lo[u] + k]) for k < cnt[u], at most n of them
     m = nodes.size
@@ -531,7 +589,8 @@ class _TightPreds(dict):
         return found
 
 
-def _canonical_cycle(g: StateGraph, mu: Fraction, y: np.ndarray) -> tuple[int, ...]:
+def _canonical_cycle(g: StateGraph, mu: Fraction, y: np.ndarray,
+                     t: np.ndarray) -> tuple[int, ...]:
     """Shortest minimizing cycle; ties to the lexicographically smallest
     state sequence started at its smallest state.
 
@@ -539,11 +598,12 @@ def _canonical_cycle(g: StateGraph, mu: Fraction, y: np.ndarray) -> tuple[int, .
     v over the nodes larger than v finds the shortest cycle whose smallest
     node is v: it closes at the first layer holding a successor of v.  The
     first v reaching the global minimum length is the canonical start, and
-    its BFS layers guide the walk around the cycle.
+    its BFS layers guide the walk around the cycle.  y and t are the
+    certifying test's (see _cycle_nodes).
     """
     p, q = np.int64(mu.numerator), np.int64(mu.denominator)
     tgt = y - (q * g.weights - p)
-    nodes = _cycle_nodes(g, y, tgt)
+    nodes = _cycle_nodes(g, y, tgt, t)
     preds = _TightPreds(g, y, tgt, nodes)
 
     best_len, best_layers = nodes.size + 1, None
@@ -595,7 +655,7 @@ def min_mean_cycle(g: StateGraph) -> tuple[Fraction, tuple[int, ...]]:
         mu, seed = result.mean, result.cycle
     if mu == Fraction(g.c + 1):
         raise InputError("state graph has no cycle")
-    return mu, _canonical_cycle(g, mu, result.y)
+    return mu, _canonical_cycle(g, mu, result.y, result.t)
 
 
 # ---------------------------------------------------------------------------

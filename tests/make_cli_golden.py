@@ -1,5 +1,6 @@
 """Write tests/data/cli_golden.json: the exit code, stdout and stderr of
-`domrat` for each invocation in MATRIX, run in-process.
+`domrat` for each invocation in MATRIX, run in-process.  As in a shell,
+leading NAME=value items of an invocation set the environment for it.
 
     PYTHONPATH=src python tests/make_cli_golden.py
 
@@ -13,7 +14,9 @@ import contextlib
 import io
 import json
 import os
+import re
 from pathlib import Path
+from unittest import mock
 
 from domrat import cli
 
@@ -79,14 +82,30 @@ MATRIX = [
     J + ["--c-max", "4", "ratio", "{1,2}", "{1,8}"],
     ["domnum", "31", "{1,2}"],
     ["--c-max", "40", "eds", "{1,40}"],
+    # numeric options and DOMRAT_C_MAX take ASCII integers only (2)
+    ["--c-max", "١٦", "ratio", "{1,2}"],
+    ["--n-max", "1_0", "domnum", "8", "{1,2}"],
+    ["domnum", "８", "{1,2}"],
+    ["oracle", "{1,2}", "--n-limit", "１２"],
+    ["verify-paper", "--cases", "٥"],
+    ["DOMRAT_C_MAX=1_6", "ratio", "{1,2}"],
 ]
 
 
 def invoke(argv: list[str]) -> dict:
-    """Run `domrat argv` in-process; return its exit code, stdout and stderr."""
+    """Run `domrat argv` in-process; return its exit code, stdout and stderr.
+    argparse's refusals exit through SystemExit, with usage text wrapped at
+    COLUMNS, which is pinned."""
+    k = next((i for i, a in enumerate(argv) if not re.fullmatch(r"[A-Z_]+=.*", a)),
+             len(argv))
+    env = dict(a.split("=", 1) for a in argv[:k])
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(list(argv))
+    with (mock.patch.dict(os.environ, {"COLUMNS": "80", **env}),
+          contextlib.redirect_stdout(out), contextlib.redirect_stderr(err)):
+        try:
+            code = cli.main(list(argv[k:]))
+        except SystemExit as exc:
+            code = exc.code
     return {"argv": argv, "exit": code, "stdout": out.getvalue(),
             "stderr": err.getvalue()}
 

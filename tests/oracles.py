@@ -83,6 +83,17 @@ def supermask_max_naive(t):
     return np.array([t[(idx & m) == m].max() for m in idx])
 
 
+def subset_reduce_per_bit(t, ufunc, up=False):
+    """out[m] = ufunc of t over every submask of m (up: every supermask),
+    one bit at a time over the whole array, by index arithmetic."""
+    t = np.array(t)
+    idx = np.arange(len(t))
+    for i in range(len(t).bit_length() - 1):
+        dst = idx[((idx >> i & 1) == 1) != up]  # up: dst lacks bit i
+        t[dst] = ufunc(t[dst], t[dst ^ (1 << i)])
+    return t
+
+
 def _closure(marks, c, up):
     """marks[m] set wherever marks is set at a submask of m (up) or at a
     supermask of m (not up), one bit at a time."""

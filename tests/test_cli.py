@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -49,6 +50,14 @@ def test_parse_set_literal():
     for text in ("{１,٤}", "{٤}", "{1_0}", "{1,-_4}", "{1," + "9" * 5000 + "}"):
         with pytest.raises(InputError, match="bad integer"):
             parse_set_literal(text)
+
+
+def test_ascii_int():
+    # the type of every numeric option: what int() reads in ASCII, no more
+    assert [cli._ascii_int(t) for t in ("16", "+5", "-3", "007", " 8 ")] == [16, 5, -3, 7, 8]
+    for text in ("١٦", "８", "1_6", "", "+", "0x10", "9" * 5000):
+        with pytest.raises(argparse.ArgumentTypeError, match="invalid int value"):
+            cli._ascii_int(text)
 
 
 def test_ratio_text(capsys):

@@ -46,6 +46,7 @@ from oracles import (
     scale,
     states,
     submask_min_naive,
+    subset_reduce_per_bit,
     successors,
     supermask_max_naive,
     tight_cycle_nodes_naive,
@@ -539,22 +540,24 @@ def _count_transforms(monkeypatch):
 
 def test_sparse_tail_transform_count(monkeypatch):
     # a count, not a timing: {1,18}'s certifying test runs 38 rounds, so
-    # with every round dense min_mean_cycle runs 43 transforms (1 + 38
-    # rounds, 4 in _cycle_nodes); the tail leaves 10
+    # with every round dense min_mean_cycle runs 42 transforms (1 + 38
+    # rounds, 3 in _cycle_nodes, which reuses the certifying round's); the
+    # tail leaves 9
     calls = _count_transforms(monkeypatch)
     g = build_state_graph(GeneratorSet([1, 18]), c_max=18)
     assert min_mean_cycle(g)[0] == Fraction(216, 35)
-    assert len(calls) <= 10
+    assert len(calls) <= 9
 
 
 def _cycle_nodes_inputs(g):
-    """The graph, converged y and tgt that min_mean_cycle hands _cycle_nodes."""
+    """The graph, converged y, tgt and packed transform t that min_mean_cycle
+    hands _cycle_nodes; t is a copy, since the prune overwrites its own."""
     seen = []
     cycle_nodes = stategraph._cycle_nodes
 
-    def recorded(*args):
-        seen.append(args)
-        return cycle_nodes(*args)
+    def recorded(g, y, tgt, t):
+        seen.append((g, y, tgt, t.copy()))
+        return cycle_nodes(g, y, tgt, t)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(stategraph, "_cycle_nodes", recorded)
@@ -566,9 +569,9 @@ def _cycle_nodes_inputs(g):
 def _assert_cycle_nodes_match_naive(g):
     args = _cycle_nodes_inputs(g)
     nodes = stategraph._cycle_nodes(*args)
-    want_nodes, want_edges = tight_cycle_nodes_naive(*args)
+    want_nodes, want_edges = tight_cycle_nodes_naive(*args[:3])
     assert nodes.tolist() == want_nodes
-    preds = stategraph._TightPreds(*args, nodes)
+    preds = stategraph._TightPreds(*args[:3], nodes)
     edges = [(int(nodes[u]), int(nodes[v])) for v in range(len(nodes)) for u in preds[v]]
     assert sorted(edges) == want_edges
 
@@ -581,18 +584,20 @@ def test_cycle_nodes_match_naive_small_c():
 
 @pytest.mark.parametrize("els,dense", [([1, 16], 2), ([-18, -1], 1)])
 def test_cycle_nodes_match_naive_wide(monkeypatch, els, dense):
-    # the prune goes sparse after `dense` iterations of two transforms each
+    # the prune goes sparse after `dense` iterations of two transforms each,
+    # less the first iteration's predecessor half, read off the certifying
+    # round's transform
     g = build_state_graph(GeneratorSet(els), c_max=18)
     args = _cycle_nodes_inputs(g)
     calls = _count_transforms(monkeypatch)
     stategraph._cycle_nodes(*args)
-    assert len(calls) == 2 * dense
+    assert len(calls) == 2 * dense - 1
     _assert_cycle_nodes_match_naive(g)
 
 
 def test_cycle_nodes_transform_count(monkeypatch):
     # a count, not a timing: with every iteration dense, {1,16}'s prune runs
-    # 13 iterations of two transforms
+    # 13 iterations, 25 transforms
     g = build_state_graph(GeneratorSet([1, 16]), c_max=16)
     args = _cycle_nodes_inputs(g)
     calls = _count_transforms(monkeypatch)
@@ -600,21 +605,55 @@ def test_cycle_nodes_transform_count(monkeypatch):
     assert len(calls) <= 4
 
 
-@pytest.mark.parametrize("c", range(1, 15))
-def test_subset_transform_matches_naive(c):
-    # c = 1..14 runs bit 0, the column form of bits 1-3 and the block
-    # form of bits >= 4 at several sizes; sentinels as the engine uses them
+def _transform_input(c):
+    """2^c random keys, with sentinels as the engine uses them."""
     rng = np.random.default_rng(c)
     n = 1 << c
     t = rng.integers(-(1 << 62), 1 << 62, n)
     t[rng.random(n) < 0.3] = stategraph._INF
     t[rng.random(n) < 0.1] = -stategraph._INF
+    return t
+
+
+def _assert_subset_transforms(t, c, want_low, want_high):
+    """_subset_transform gives want_low for submask minima and, on the
+    reversed view, want_high for supermask maxima, and leaves numpy's ufunc
+    buffer size as it found it."""
+    bufsize = np.getbufsize()
     low = t.copy()
     stategraph._subset_transform(low, c, np.minimum)
-    assert np.array_equal(low, submask_min_naive(t))
+    assert np.array_equal(low, want_low)
     high = t.copy()
     stategraph._subset_transform(high[::-1], c, np.maximum)
-    assert np.array_equal(high, supermask_max_naive(t))
+    assert np.array_equal(high, want_high)
+    assert np.getbufsize() == bufsize
+
+
+@pytest.mark.parametrize("c", range(1, 15))
+def test_subset_transform_matches_naive(monkeypatch, c):
+    # c = 1..14 runs bit 0, the column form of bits 1-3 and the block form
+    # of bits >= 4 at several sizes: the plain loop to c = 12, the small
+    # buffer from c = 13.  For c <= 12 the buffered path runs again with
+    # blocks of 2^2, 2^3 and 2^4 entries, so that several blocks run
+    # before the higher bits
+    t = _transform_input(c)
+    want_low, want_high = submask_min_naive(t), supermask_max_naive(t)
+    _assert_subset_transforms(t, c, want_low, want_high)
+    if c <= 12:
+        monkeypatch.setattr(stategraph, "_UNBUFFERED_MIN_C", 1)
+        for block_bits in (2, 3, 4):
+            monkeypatch.setattr(stategraph, "_BLOCK_BITS", block_bits)
+            _assert_subset_transforms(t, c, want_low, want_high)
+
+
+@pytest.mark.parametrize("c", [18, 19])
+def test_subset_transform_matches_per_bit_wide(c):
+    # two and four blocks of the shipped 2^17 entries, then the higher bits
+    # over the whole array, against the plain one-bit-at-a-time form
+    assert stategraph._BLOCK_BITS == 17
+    t = _transform_input(c)
+    _assert_subset_transforms(t, c, subset_reduce_per_bit(t, np.minimum),
+                              subset_reduce_per_bit(t, np.maximum, up=True))
 
 
 @pytest.mark.parametrize("els,want", [
