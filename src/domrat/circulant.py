@@ -7,6 +7,22 @@ independent cross-check for the infinite-graph engine.  A search branches
 on vertices from candidate groups precomputed per call and returns the
 cover it finds, from which the witness is built.
 
+Failed-state table.  All searches on one Z_n share a dict `failed`, where
+failed[m] = b means that no b vertices >= the call's min_vertex cover the
+uncovered mask m.  A level of the search whose candidates all fail records
+its mask with one more than the budget left below it: a cover must hold a
+dominator of the branching vertex, every such dominator >= min_vertex was
+tried, and each subtree below is exhausted, cut off by counting (at most
+per_vertex vertices covered per vertex chosen) or refuted by the table.  A
+mask is expanded only if the table does not refute it with its budget.
+The table skips only subtrees that hold no cover, so the depth-first order
+and the first cover found are unchanged.  An entry proven with candidates
+>= m holds for any later call whose min_vertex is >= m, and within one
+`domination_number` min_vertex never falls: it is 0 for every level of
+the iterative deepening, then v + 1 for ascending v while the witness
+grows.  So one table serves the whole solve, and no mask is refuted twice
+with the same budget.
+
 Coset lemma.  Let g = gcd(n, C).  The subgroup of Z_n generated by C is
 gZ_n, so every edge u -> u+r stays in u's coset, and x -> a + g*x maps
 Z_{n/g} with C/g isomorphically onto the coset a + gZ_n.  A set dominates
@@ -102,7 +118,7 @@ def _dominator_lists(inst: CirculantInstance) -> list[list[int]]:
 
 
 def _exists_cover(uncovered: int, budget: int, cover: list[int],
-                  doms: list[list[int]], per_vertex: int,
+                  doms: list[list[int]], per_vertex: int, failed: dict[int, int],
                   min_vertex: int = 0) -> list[int] | None:
     """At most `budget` distinct vertices, all >= min_vertex, that cover the
     uncovered mask; None if there are none.
@@ -111,10 +127,13 @@ def _exists_cover(uncovered: int, budget: int, cover: list[int],
     untried candidates) entry per level, so that the depth, up to budget,
     never meets Python's recursion limit.  Each node branches on the lowest
     uncovered vertex of the first group, by count of candidates >= min_vertex,
-    that meets the mask."""
+    that meets the mask.  A mask the table `failed` refutes with its budget
+    is not expanded, and a level whose candidates all fail is added to it
+    (the module docstring gives the table's meaning and why it is sound)."""
     if not uncovered:
         return []
-    if budget <= 0 or uncovered.bit_count() > budget * per_vertex:
+    if (budget <= 0 or uncovered.bit_count() > budget * per_vertex
+            or failed.get(uncovered, -1) >= budget):
         return None
     by_count: dict[int, int] = {}
     for j, d in enumerate(doms):
@@ -129,9 +148,7 @@ def _exists_cover(uncovered: int, budget: int, cover: list[int],
                 g &= uncovered
                 d = doms[(g & -g).bit_length() - 1]
                 break
-        cands = d[bisect_left(d, min_vertex):]
-        if cands:  # none: no vertex can cover it, and the branch fails
-            stack.append((uncovered, budget - 1, iter(cands)))
+        stack.append((uncovered, budget - 1, iter(d[bisect_left(d, min_vertex):])))
         while stack:  # the next candidate not cut off, deepest level first
             level, budget, untried = stack[-1]
             for v in untried:
@@ -139,30 +156,36 @@ def _exists_cover(uncovered: int, budget: int, cover: list[int],
                 uncovered = level & ~cover[v]
                 if not uncovered:
                     return chosen[budget:]
-                if budget > 0 and uncovered.bit_count() <= budget * per_vertex:
+                if (budget > 0 and uncovered.bit_count() <= budget * per_vertex
+                        and failed.get(uncovered, -1) < budget):
                     break
             else:
+                # no budget + 1 vertices cover the level; the table held less
+                # for it, or it would not have been expanded
                 stack.pop()
+                failed[level] = budget + 1
                 continue
             break
         else:
             return None
 
 
-def _search_gamma(n: int, cover: list[int],
-                  doms: list[list[int]]) -> tuple[int, list[int]]:
+def _search_gamma(n: int, cover: list[int], doms: list[list[int]],
+                  failed: dict[int, int]) -> tuple[int, list[int]]:
     """Domination number of Z_n and the vertices besides 0 of a minimum
     dominating set, from the cover masks and dominator lists.
 
     Iterative deepening from the counting lower bound; vertex 0 is forced
     into the set, which is sound because rotating any dominating set keeps
-    it dominating.
+    it dominating.  Every level searches with the failed-state table
+    `failed`, so a level starts from the refutations of the levels below.
     """
     per_vertex = len(doms[0])
     full = (1 << n) - 1
     lower = -(-n // per_vertex)  # ceil
     for gamma in range(max(lower, 1), n + 1):
-        found = _exists_cover(full & ~cover[0], gamma - 1, cover, doms, per_vertex)
+        found = _exists_cover(full & ~cover[0], gamma - 1, cover, doms, per_vertex,
+                             failed)
         if found is not None:
             return gamma, found
     # k = n always works
@@ -183,7 +206,8 @@ def domination_number(inst: CirculantInstance,
     cover = _cover_masks(inst)
     doms = _dominator_lists(inst)
     per_vertex = len(doms[0])
-    gamma, found = _search_gamma(n, cover, doms)
+    failed: dict[int, int] = {}  # shared by the deepening and the witness growth
+    gamma, found = _search_gamma(n, cover, doms, failed)
 
     # grow the witness smallest-vertex-first; each prefix must keep a
     # feasible completion among strictly larger vertices.  `completion` is
@@ -198,7 +222,7 @@ def domination_number(inst: CirculantInstance,
             if not (cover[v] & uncovered):
                 continue
             found = _exists_cover(uncovered & ~cover[v], budget - 1, cover, doms,
-                                  per_vertex, v + 1)
+                                  per_vertex, failed, v + 1)
             if found is not None:
                 completion = [v] + sorted(found)
                 break
@@ -223,7 +247,8 @@ def _scan_gamma(inst: CirculantInstance) -> int:
     n = inst.n
     g = gcd(n, *inst.connection)
     coset = CirculantInstance(n // g, [r // g for r in inst.connection])
-    gamma, found = _search_gamma(coset.n, _cover_masks(coset), _dominator_lists(coset))
+    gamma, found = _search_gamma(coset.n, _cover_masks(coset), _dominator_lists(coset),
+                                 {})
     gamma *= g
     lifted = _lift_cover(found, g)
     if len(lifted) != gamma or not is_dominating(inst, lifted):

@@ -69,8 +69,9 @@ class Row:
 
 # The circulant solver's cap in the cross-checks of criteria 7 and 10.  The
 # 7 period-identity rows with periods 33..56 ({-10,1}, {1,11}, {2,8}, {-6,2},
-# {1,14}, {-6,1}, {1,7}) take about 0.6 s in all on the solver, so the cap is
-# at least 56.  The next period, 60 for {-9,3}, takes about 46 s.
+# {1,14}, {-6,1}, {1,7}) take about 0.04 s in all on the solver, so the cap is
+# at least 56.  The next period, 60 for {-9,3}, takes about 1 s (2 vCPU,
+# Python 3.11); a higher cap would turn SKIP rows into PASS rows.
 CROSS_CHECK_N_MAX = 56
 
 

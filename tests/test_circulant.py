@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import random
@@ -81,26 +82,67 @@ def test_witness_is_lexicographically_least(n, conn):
 
 
 def test_exists_cover_contract():
+    # each random (n, C) runs several masks through one failed-state table
+    # at ascending min_vertex, the way domination_number shares it over a
+    # solve; half the masks are submasks of the one before, so that later
+    # calls meet masks the earlier ones refuted
     rng = random.Random(7)
+    recorded = 0
     for _ in range(300):
         n = rng.randint(1, 12)
         conn = rng.sample(range(1, n + 1), rng.randint(1, min(n, 3)))
         inst = CirculantInstance(n, conn)
         cover = circulant._cover_masks(inst)
         doms = circulant._dominator_lists(inst)
-        mask = rng.getrandbits(n)
-        budget = rng.randint(0, 4)
-        min_vertex = rng.randint(0, n)
-        found = circulant._exists_cover(mask, budget, cover, doms, len(doms[0]),
-                                        min_vertex)
-        brute = any(not mask & ~_union(cover, c)
-                    for k in range(budget + 1)
-                    for c in combinations(range(min_vertex, n), k))
-        assert (found is not None) == brute, (n, conn, mask, budget, min_vertex)
-        if found is not None:
-            assert len(found) <= budget and len(set(found)) == len(found)
-            assert all(min_vertex <= v < n for v in found)
-            assert not mask & ~_union(cover, found)
+        failed = _GrowingTable()
+        mask, min_vertex = rng.getrandbits(n), 0
+        for _ in range(rng.randint(1, 6)):
+            mask = mask & rng.getrandbits(n) if rng.random() < 0.5 else rng.getrandbits(n)
+            budget = rng.randint(0, 4)
+            min_vertex = rng.randint(min_vertex, min(min_vertex + 2, n))
+            before = dict(failed)
+            found = circulant._exists_cover(mask, budget, cover, doms, len(doms[0]),
+                                            failed, min_vertex)
+            brute = any(not mask & ~_union(cover, c)
+                        for k in range(budget + 1)
+                        for c in combinations(range(min_vertex, n), k))
+            assert (found is not None) == brute, (n, conn, mask, budget, min_vertex)
+            if found is not None:
+                assert len(found) <= budget and len(set(found)) == len(found)
+                assert all(min_vertex <= v < n for v in found)
+                assert not mask & ~_union(cover, found)
+            # every entry this call wrote is a true refutation at its min_vertex
+            least = _least_cover_size(cover, doms, min_vertex)
+            for m, b in failed.items():
+                if before.get(m) != b:
+                    assert least(m) > b, (n, conn, m, b, min_vertex)
+        recorded += len(failed)
+    assert recorded  # a search that exhausts a level records it
+
+
+class _GrowingTable(dict):
+    """A failed-state table that refuses a write not above the entry it
+    replaces: a mask the table refutes with a budget is never expanded with
+    that budget again."""
+
+    def __setitem__(self, mask, budget):
+        assert budget > self.get(mask, -1), (mask, budget, self.get(mask))
+        super().__setitem__(mask, budget)
+
+
+def _least_cover_size(cover, doms, min_vertex):
+    """Fewest vertices >= min_vertex covering a mask (infinite if none do),
+    by plain recursion on the mask's lowest vertex."""
+
+    @functools.cache
+    def least(mask: int) -> int:
+        if not mask:
+            return 0
+        j = (mask & -mask).bit_length() - 1
+        return min((1 + least(mask & ~cover[d]) for d in doms[j] if d >= min_vertex),
+                   default=math.inf)
+
+    return least
 
 
 def _union(cover, vertices):
@@ -230,6 +272,23 @@ def test_scan_matches_brute_force_on_small_split_instances():
         assert scans[els][n] == _brute_gamma(inst), (els, n)
 
 
+def test_domination_number_matches_brute_force_on_non_split_instances():
+    # random gcd(n, C) = 1 circulants: gamma against brute force, and the
+    # witness against the lexicographically least minimum dominating set
+    rng = random.Random(11)
+    checked = 0
+    while checked < 60:
+        n = rng.randint(2, 13)
+        inst = CirculantInstance(n, rng.sample(range(1, n), rng.randint(1, min(n - 1, 3))))
+        if math.gcd(n, *inst.connection) > 1:
+            continue
+        gamma, witness = domination_number(inst)
+        assert gamma == _brute_gamma(inst), (n, inst.connection)
+        best = min(c for c in combinations(range(n), gamma) if is_dominating(inst, c))
+        assert witness == best, (n, inst.connection)
+        checked += 1
+
+
 def test_oracle_upper_bounds_engine():
     for els in [[1, 2], [2, 3], [1, -2], [2, 5], [1, 4]]:
         s = GeneratorSet(els)
@@ -246,6 +305,23 @@ def test_period_identity_with_engine():
         cert = domination_ratio(s)
         gamma, _ = domination_number(residues(s, cert.period), n_max=45)
         assert gamma == cert.ratio * cert.period
+
+
+@pytest.mark.parametrize("els,period,block", [
+    ([-9, 3], 60, (0, 1, 2, 6, 7, 8)),  # 24 vertices, {0,1,2,6,7,8} + 15k
+    ([1, 10], 110, (0, 2, 5, 8)),  # 40 vertices, {0,2,5,8} + 11k
+])
+def test_period_identity_past_cross_check_cap(els, period, block):
+    # the first periods above verify-paper's cross-check cap of 56; without
+    # the failed-state table these solves took 10-25 s each.  The witness is
+    # the one found before the table: it skips only subtrees with no cover
+    s = GeneratorSet(els)
+    cert = domination_ratio(s)
+    assert cert.period == period
+    gamma, witness = domination_number(residues(s, period), n_max=period)
+    assert gamma == cert.ratio * period
+    step = period * len(block) // gamma
+    assert witness == tuple(sorted(x + k for x in block for k in range(0, period, step)))
 
 
 def _run_optimized(code: str) -> subprocess.CompletedProcess:
