@@ -33,7 +33,9 @@ test after the first starts its values on the cycle the previous test found,
 not at zero: that reaches the same fixpoint, often in far fewer rounds.
 Once a round improves only a few states, later rounds keep the transform and
 lower it just at the supermasks of those states' masks, re-evaluating only
-the states whose predecessor minimum fell.  The transform runs bit by bit;
+the states whose predecessor minimum fell.  The transform runs bit by bit,
+each pass one ufunc call on views of one buffer that are made once per
+solve, since on small graphs making them cost half as much as the calls;
 on large arrays it runs with a small ufunc buffer, its low bits block by
 cache-sized block (see _subset_transform).  The canonical cycle is read
 off the tight edges of the converged potentials: a prune by subset
@@ -220,12 +222,41 @@ _BLOCK_BITS = 17
 _BUFSIZE = 512
 
 
-def _subset_transform(t: np.ndarray, c: int, ufunc: np.ufunc) -> None:
-    """In place: t[m] becomes ufunc reduced over t at all submasks of m.
+def _transform_plan(t: np.ndarray, c: int) -> tuple[bool, list]:
+    """The passes of a subset transform of t, 2^c entries, built once.
 
-    For supermasks pass t[::-1]: index m of the reversed view is the
-    complement of m.  Bit i combines each block of 2^i entries with the
-    block below it, and the bits can run in any order (_subset_bits).
+    A plan is (buffered, passes): each pass is (out, in, order), views of t
+    that _subset_transform hands a ufunc as is.  For supermasks build it on
+    t[::-1]: index m of the reversed view is the complement of m.  Bit i
+    combines each block of 2^i entries with the block below it, and the bits
+    can run in any order.  For 2-, 4- and 8-entry blocks the inner loop is
+    too short, so those bits run over the transposed view with C iteration
+    order, whose inner loops are the long strided columns; measured for
+    c = 1..18, that form was never slower.  From c = _UNBUFFERED_MIN_C on,
+    bits 0 .. _BLOCK_BITS-1 run block by block (see _subset_transform).
+    """
+    k = min(c, _BLOCK_BITS) if c >= _UNBUFFERED_MIN_C else 0
+    parts = [(block, range(k)) for block in t.reshape(-1, 1 << k)] if k else []
+    passes = []
+    for part, bits in parts + [(t, range(k, c))]:
+        for i in bits:
+            s = 1 << i
+            if 1 <= i <= 3:
+                cols = part.reshape(-1, 2 * s).T
+                passes.append((cols[s:], cols[:s], "C"))
+            else:
+                tt = part.reshape(-1, 2, s)
+                passes.append((tt[:, 1, :], tt[:, 0, :], "K"))
+    return c >= _UNBUFFERED_MIN_C, passes
+
+
+def _subset_transform(plan: tuple[bool, list], ufunc: np.ufunc) -> None:
+    """In place on the plan's buffer t (see _transform_plan): t[m] becomes
+    ufunc reduced over t at all submasks of m.
+
+    min_mean_cycle builds its plans once, for every threshold round and
+    prune iteration: at c <= 12 each pass is one short ufunc call, and
+    making its views afresh at every call cost about half as much again.
 
     From c = _UNBUFFERED_MIN_C on, two things make the passes cheaper.
     numpy buffers a ufunc's strided 2-D operands whose inner runs are short,
@@ -235,36 +266,18 @@ def _subset_transform(t: np.ndarray, c: int, ufunc: np.ufunc) -> None:
     of that away.  And an array of 2^18 entries or more does not fit the
     per-core L2 cache, so bits 0 .. _BLOCK_BITS-1 run block by block over
     2^_BLOCK_BITS entries, each block finished while it is cached, before
-    the higher bits run over the whole array.  Below that c the plain loop
-    runs, with no extra numpy call.
+    the higher bits run over the whole array.  Below that c the passes run
+    with no extra numpy call.
     """
-    if c < _UNBUFFERED_MIN_C:
-        _subset_bits(t, range(c), ufunc)
+    buffered, passes = plan
+    if not buffered:
+        for out, other, order in passes:
+            ufunc(out, other, out=out, order=order)
         return
-    k = min(c, _BLOCK_BITS)
     with np.errstate():
         np.setbufsize(_BUFSIZE)
-        for block in t.reshape(-1, 1 << k):
-            _subset_bits(block, range(k), ufunc)
-        _subset_bits(t, range(k, c), ufunc)
-
-
-def _subset_bits(t: np.ndarray, bits: range, ufunc: np.ufunc) -> None:
-    """The passes of _subset_transform for the given bits, in place.
-
-    For 2-, 4- and 8-entry blocks the inner loop is too short, so those bits
-    run as one ufunc call over the transposed view with C iteration order,
-    whose inner loops are the long strided columns; measured for c = 1..18,
-    that form was never slower.
-    """
-    for i in bits:
-        s = 1 << i
-        if 1 <= i <= 3:
-            cols = t.reshape(-1, 2 * s).T
-            ufunc(cols[s:], cols[:s], out=cols[s:], order="C")
-        else:
-            tt = t.reshape(-1, 2, s)
-            ufunc(tt[:, 1, :], tt[:, 0, :], out=tt[:, 1, :])
+        for out, other, order in passes:
+            ufunc(out, other, out=out, order=order)
 
 
 # Above every packed key.  Read as a key, it gives a state with no
@@ -290,9 +303,6 @@ class _ThresholdResult:
     y: np.ndarray | None = None
     mean: Fraction | None = None
     cycle: list[int] | None = None  # a cycle of that mean, in edge order
-    # converged: the last round's packed transform, exact for y (see
-    # _test_threshold); _cycle_nodes reads it and overwrites it
-    t: np.ndarray | None = None
 
 
 def _pointer_cycle_nodes(f: np.ndarray, nxt: np.ndarray, pos: np.ndarray) -> np.ndarray:
@@ -404,8 +414,8 @@ def _supermask_count(masks: np.ndarray, c: int) -> int:
     return int(np.left_shift(1, c - np.bitwise_count(masks).astype(np.int64)).sum())
 
 
-def _test_threshold(g: StateGraph, mu: Fraction,
-                    seed: list[int] | None = None) -> _ThresholdResult:
+def _test_threshold(g: StateGraph, t: np.ndarray, plan: tuple[bool, list],
+                    mu: Fraction, seed: list[int] | None = None) -> _ThresholdResult:
     """Decide whether some cycle has mean < mu.
 
     Runs value iteration y(v) <- min(y(v), q*w(v) - p + min over consistent
@@ -426,8 +436,9 @@ def _test_threshold(g: StateGraph, mu: Fraction,
     and only states whose covers mask fell can improve.  Those sparse
     rounds give the same y and pred as full rounds, ties included.  Either
     kind of round leaves t the transform of the packed y it started from,
-    so a round that improves nothing returns that t as exact for the
-    final y.
+    so a round that improves nothing leaves t exact for the final y.  t,
+    2^c entries, is scratch for the test, and plan its minimum transform
+    (_transform_plan).
     """
     uncovered, covers, weights, c, n = g.uncovered, g.covers, g.weights, g.c, g.n_states
     p, q = np.int64(mu.numerator), np.int64(mu.denominator)
@@ -438,7 +449,6 @@ def _test_threshold(g: StateGraph, mu: Fraction,
         y[seed] = phi - phi.max()
     pred = np.full(n, -1, dtype=np.int64)
     idx = np.arange(n, dtype=np.int64)
-    t = np.empty(n, dtype=np.int64)
     gval = np.empty(n, dtype=np.int64)
     cand = np.empty(n, dtype=np.int64)
     front = None  # the states the last round improved, while t is kept
@@ -462,13 +472,13 @@ def _test_threshold(g: StateGraph, mu: Fraction,
             t.fill(_INF)
             np.minimum.at(t, uncovered, packed)
             del packed
-            _subset_transform(t, c, np.minimum)
+            _subset_transform(plan, np.minimum)
             np.take(t, covers, out=gval, mode="clip")
             np.right_shift(gval, c, out=cand)
             cand += wq
             improved = cand < y
             if not improved.any():
-                return _ThresholdResult(converged=True, y=y, t=t)
+                return _ThresholdResult(converged=True, y=y)
             np.copyto(y, cand, where=improved)
             y_min = int(y.min())
             np.bitwise_and(gval, n - 1, out=cand)
@@ -489,7 +499,7 @@ def _test_threshold(g: StateGraph, mu: Fraction,
             better = val < y[front]
             front = front[better]
             if not front.size:
-                return _ThresholdResult(converged=True, y=y, t=t)
+                return _ThresholdResult(converged=True, y=y)
             y[front] = val[better]
             y_min = min(y_min, int(val.min()))  # the rest of val is >= y
             pred[front] = best[better] & (n - 1)
@@ -510,8 +520,8 @@ def _test_threshold(g: StateGraph, mu: Fraction,
     raise AssertionError("unreachable")
 
 
-def _cycle_nodes(g: StateGraph, y: np.ndarray, tgt: np.ndarray,
-                 t: np.ndarray) -> np.ndarray:
+def _cycle_nodes(g: StateGraph, y: np.ndarray, tgt: np.ndarray, t: np.ndarray,
+                 low: tuple[bool, list], high: tuple[bool, list]) -> np.ndarray:
     """States that can lie on a cycle of tight edges, ascending.
 
     Edge u -> v is tight when y(u) == tgt(v) (and u -> v is an edge); with
@@ -525,8 +535,9 @@ def _cycle_nodes(g: StateGraph, y: np.ndarray, tgt: np.ndarray,
     tests every state that way with two subset transforms over all n = 2^c
     masks, however few survive; one that drops nothing ends the prune.  The
     first needs only one: t is the certifying round's packed transform of
-    y (_ThresholdResult.t), whose values t >> c are the predecessor minima
-    over all states.  t is then the prune's scratch, overwritten.
+    y (_test_threshold), whose values t >> c are the predecessor minima
+    over all states.  t is then the prune's scratch, overwritten, with low
+    and high its minimum and maximum (on t[::-1]) transform plans.
     Otherwise the survivor pairs with y(u) == tgt(v) are counted by one
     sort and two searchsorted calls, and once they number at most n those
     pairs are expanded, the tight edges among them kept, and a state
@@ -540,7 +551,7 @@ def _cycle_nodes(g: StateGraph, y: np.ndarray, tgt: np.ndarray,
     for _ in range(n + 1):
         t.fill(-_INF)
         np.maximum.at(t, covers[active], tgt[active])
-        _subset_transform(t[::-1], c, np.maximum)
+        _subset_transform(high, np.maximum)
         new_active = active & in_ok & (t[uncovered] == y)
         if np.array_equal(new_active, active):
             return np.flatnonzero(active)  # empty only if broken
@@ -554,7 +565,7 @@ def _cycle_nodes(g: StateGraph, y: np.ndarray, tgt: np.ndarray,
             break
         t.fill(_INF)
         np.minimum.at(t, uncovered[active], y[active])
-        _subset_transform(t, c, np.minimum)
+        _subset_transform(low, np.minimum)
         in_ok = t[covers] == tgt
 
     # the pairs (u, order[lo[u] + k]) for k < cnt[u], at most n of them
@@ -589,8 +600,8 @@ class _TightPreds(dict):
         return found
 
 
-def _canonical_cycle(g: StateGraph, mu: Fraction, y: np.ndarray,
-                     t: np.ndarray) -> tuple[int, ...]:
+def _canonical_cycle(g: StateGraph, mu: Fraction, y: np.ndarray, t: np.ndarray,
+                     low: tuple[bool, list], high: tuple[bool, list]) -> tuple[int, ...]:
     """Shortest minimizing cycle; ties to the lexicographically smallest
     state sequence started at its smallest state.
 
@@ -599,11 +610,11 @@ def _canonical_cycle(g: StateGraph, mu: Fraction, y: np.ndarray,
     node is v: it closes at the first layer holding a successor of v.  The
     first v reaching the global minimum length is the canonical start, and
     its BFS layers guide the walk around the cycle.  y and t are the
-    certifying test's (see _cycle_nodes).
+    certifying test's, low and high t's plans (see _cycle_nodes).
     """
     p, q = np.int64(mu.numerator), np.int64(mu.denominator)
     tgt = y - (q * g.weights - p)
-    nodes = _cycle_nodes(g, y, tgt, t)
+    nodes = _cycle_nodes(g, y, tgt, t, low, high)
     preds = _TightPreds(g, y, tgt, nodes)
 
     best_len, best_layers = nodes.size + 1, None
@@ -644,18 +655,22 @@ def min_mean_cycle(g: StateGraph) -> tuple[Fraction, tuple[int, ...]]:
     Edge weight into a state is that state's population count.  Candidate
     means decrease strictly (each is achieved by an explicit cycle) until a
     convergence certificate shows no cycle beats the last one.  Each test
-    after the first starts from the cycle the previous test found.
+    after the first starts from the cycle the previous test found.  Every
+    test and the canonical cycle share one transform buffer t, and the
+    plans of its minimum and maximum transforms are built once here.
     """
     mu = Fraction(g.c + 1)  # above any cycle mean, so the first test finds a cycle
     seed = None
+    t = np.empty(g.n_states, dtype=np.int64)
+    low, high = _transform_plan(t, g.c), _transform_plan(t[::-1], g.c)
     while True:
-        result = _test_threshold(g, mu, seed)
+        result = _test_threshold(g, t, low, mu, seed)
         if result.converged:
             break
         mu, seed = result.mean, result.cycle
     if mu == Fraction(g.c + 1):
         raise InputError("state graph has no cycle")
-    return mu, _canonical_cycle(g, mu, result.y, result.t)
+    return mu, _canonical_cycle(g, mu, result.y, t, low, high)
 
 
 # ---------------------------------------------------------------------------

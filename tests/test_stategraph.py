@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import platform
@@ -273,12 +274,19 @@ def test_pointer_cycle_nodes_on_partial_injections():
     assert 100 < closed < 390, closed  # both outcomes are exercised
 
 
+def _threshold_test(g, mu, seed=None):
+    """_test_threshold on a fresh buffer and its plan, as min_mean_cycle
+    builds them."""
+    t = np.empty(g.n_states, dtype=np.int64)
+    return stategraph._test_threshold(g, t, stategraph._transform_plan(t, g.c), mu, seed)
+
+
 def _threshold_calls(g):
     """min_mean_cycle's schedule as the (mu, seed) of each threshold test,
     checking each cycle a test returns; the last test certifies."""
     calls = [(Fraction(g.c + 1), None)]
     while True:
-        r = stategraph._test_threshold(g, *calls[-1])
+        r = _threshold_test(g, *calls[-1])
         if r.converged:
             return calls
         assert all(is_edge(g, u, v) for u, v in zip(r.cycle, r.cycle[1:] + r.cycle[:1]))
@@ -293,10 +301,10 @@ def _threshold_schedule(g):
 
 def _assert_seeded_matches_unseeded(g):
     mu, found = _threshold_schedule(g)
-    plain = stategraph._test_threshold(g, mu)
+    plain = _threshold_test(g, mu)
     assert plain.converged
     for seed in (found, list(min_mean_cycle(g)[1])):
-        seeded = stategraph._test_threshold(g, mu, seed)
+        seeded = _threshold_test(g, mu, seed)
         assert seeded.converged and np.array_equal(seeded.y, plain.y)
 
 
@@ -357,9 +365,9 @@ def _compare_tail(monkeypatch, g, calls, tail=_TAIL_FORCED):
     sparse tail switched by `tail` as with it off."""
     for mu, seed in calls:
         _set_tail(monkeypatch, tail)
-        on = stategraph._test_threshold(g, mu, seed)
+        on = _threshold_test(g, mu, seed)
         _set_tail(monkeypatch, _TAIL_OFF)
-        off = stategraph._test_threshold(g, mu, seed)
+        off = _threshold_test(g, mu, seed)
         assert (on.converged, on.mean, on.cycle) == (off.converged, off.mean, off.cycle)
         assert (on.y is None) == (off.y is None)
         assert off.y is None or np.array_equal(on.y, off.y)
@@ -379,12 +387,12 @@ def test_lower_supermasks_matches_transform(c):
     raw = rng.integers(0, 1 << 40, n)
     raw[rng.random(n) < 0.3] = stategraph._INF
     t = raw.copy()
-    stategraph._subset_transform(t, c, np.minimum)
+    stategraph._subset_transform(stategraph._transform_plan(t, c), np.minimum)
     masks = rng.integers(0, n, int(rng.integers(0, 2 * n)))
     keys = rng.integers(0, 1 << 40, len(masks))
     np.minimum.at(raw, masks, keys)
     want = raw.copy()
-    stategraph._subset_transform(want, c, np.minimum)
+    stategraph._subset_transform(stategraph._transform_plan(want, c), np.minimum)
     before = t.copy()
     fell = stategraph._lower_supermasks(t, masks, keys, c)
     assert np.array_equal(t, want)
@@ -511,7 +519,7 @@ def test_sparse_tail_span_guard_fixture(monkeypatch, sparse_rounds):
     for tail in (_TAIL_FORCED, _TAIL_OFF):
         _set_tail(monkeypatch, tail)
         with pytest.raises(CapExceededError):
-            stategraph._test_threshold(g, mu)
+            _threshold_test(g, mu)
     assert len(sparse_rounds) == 5  # rounds 2-6, with the tail forced
 
 
@@ -549,21 +557,40 @@ def test_sparse_tail_transform_count(monkeypatch):
     assert len(calls) <= 9
 
 
+@pytest.mark.parametrize("els", [[1, -2], [2, -5, 7], [-7, -6, 5], [1, 16]])
+def test_two_transform_plans_per_solve(monkeypatch, els):
+    # every threshold test and the prune run the two plans min_mean_cycle
+    # builds, one on its buffer and one on its reversal; {-7,-6,5} runs 6
+    # threshold tests, and {1,16} a sparse tail
+    built = []
+    plan = stategraph._transform_plan
+
+    def counted(*args):
+        built.append(1)
+        return plan(*args)
+
+    monkeypatch.setattr(stategraph, "_transform_plan", counted)
+    min_mean_cycle(build_state_graph(GeneratorSet(els), c_max=16))
+    assert len(built) == 2
+
+
 def _cycle_nodes_inputs(g):
     """The graph, converged y, tgt and packed transform t that min_mean_cycle
-    hands _cycle_nodes; t is a copy, since the prune overwrites its own."""
+    hands _cycle_nodes, with t's two plans; t is a copy, since the prune
+    overwrites its own, and the plans are built on the copy."""
     seen = []
     cycle_nodes = stategraph._cycle_nodes
 
-    def recorded(g, y, tgt, t):
+    def recorded(g, y, tgt, t, *plans):
         seen.append((g, y, tgt, t.copy()))
-        return cycle_nodes(g, y, tgt, t)
+        return cycle_nodes(g, y, tgt, t, *plans)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(stategraph, "_cycle_nodes", recorded)
         min_mean_cycle(g)
-    (args,) = seen
-    return args
+    ((g, y, tgt, t),) = seen
+    plan = stategraph._transform_plan
+    return g, y, tgt, t, plan(t, g.c), plan(t[::-1], g.c)
 
 
 def _assert_cycle_nodes_match_naive(g):
@@ -615,16 +642,25 @@ def _transform_input(c):
     return t
 
 
+@functools.cache
+def _transform_wants(c):
+    """_transform_input(c), its submask minima and its supermask maxima."""
+    t = _transform_input(c)
+    if c <= 14:
+        return t, submask_min_naive(t), supermask_max_naive(t)
+    return t, subset_reduce_per_bit(t, np.minimum), subset_reduce_per_bit(t, np.maximum, up=True)
+
+
 def _assert_subset_transforms(t, c, want_low, want_high):
     """_subset_transform gives want_low for submask minima and, on the
     reversed view, want_high for supermask maxima, and leaves numpy's ufunc
     buffer size as it found it."""
     bufsize = np.getbufsize()
     low = t.copy()
-    stategraph._subset_transform(low, c, np.minimum)
+    stategraph._subset_transform(stategraph._transform_plan(low, c), np.minimum)
     assert np.array_equal(low, want_low)
     high = t.copy()
-    stategraph._subset_transform(high[::-1], c, np.maximum)
+    stategraph._subset_transform(stategraph._transform_plan(high[::-1], c), np.maximum)
     assert np.array_equal(high, want_high)
     assert np.getbufsize() == bufsize
 
@@ -636,8 +672,7 @@ def test_subset_transform_matches_naive(monkeypatch, c):
     # buffer from c = 13.  For c <= 12 the buffered path runs again with
     # blocks of 2^2, 2^3 and 2^4 entries, so that several blocks run
     # before the higher bits
-    t = _transform_input(c)
-    want_low, want_high = submask_min_naive(t), supermask_max_naive(t)
+    t, want_low, want_high = _transform_wants(c)
     _assert_subset_transforms(t, c, want_low, want_high)
     if c <= 12:
         monkeypatch.setattr(stategraph, "_UNBUFFERED_MIN_C", 1)
@@ -651,9 +686,33 @@ def test_subset_transform_matches_per_bit_wide(c):
     # two and four blocks of the shipped 2^17 entries, then the higher bits
     # over the whole array, against the plain one-bit-at-a-time form
     assert stategraph._BLOCK_BITS == 17
-    t = _transform_input(c)
-    _assert_subset_transforms(t, c, subset_reduce_per_bit(t, np.minimum),
-                              subset_reduce_per_bit(t, np.maximum, up=True))
+    t, want_low, want_high = _transform_wants(c)
+    _assert_subset_transforms(t, c, want_low, want_high)
+
+
+@pytest.mark.parametrize("c", [*range(1, 15), 18])
+def test_transform_plan_aliases_its_buffer(monkeypatch, c):
+    # a reshape that silently copied would give a transform that writes
+    # nowhere: every operand of both plans must be a view of the buffer,
+    # and one plan must serve a refilled buffer again, as every threshold
+    # test of a solve reuses it.  For c <= 12 the blocked settings of
+    # test_subset_transform_matches_naive run too
+    t0, want_low, want_high = _transform_wants(c)
+    settings = [(stategraph._UNBUFFERED_MIN_C, stategraph._BLOCK_BITS)]
+    if c <= 12:
+        settings += [(1, block_bits) for block_bits in (2, 3, 4)]
+    t = np.empty_like(t0)
+    for unbuffered_min_c, block_bits in settings:
+        monkeypatch.setattr(stategraph, "_UNBUFFERED_MIN_C", unbuffered_min_c)
+        monkeypatch.setattr(stategraph, "_BLOCK_BITS", block_bits)
+        for view, ufunc, want in ((t, np.minimum, want_low), (t[::-1], np.maximum, want_high)):
+            plan = stategraph._transform_plan(view, c)
+            for out, other, _ in plan[1]:
+                assert np.shares_memory(out, t) and np.shares_memory(other, t)
+            for _ in range(2):
+                t[:] = t0
+                stategraph._subset_transform(plan, ufunc)
+                assert np.array_equal(t, want)
 
 
 @pytest.mark.parametrize("els,want", [
