@@ -1,11 +1,13 @@
 """Exact domination numbers of circulant digraphs.
 
 A circulant digraph on Z_n with connection set C (least positive residues)
-has an edge u -> u+r mod n for every r in C.  The solver is a plain exact
-branch-and-bound over bitmask coverage, small enough to serve as an
-independent cross-check for the infinite-graph engine.  A search branches
-on vertices from candidate groups precomputed per call and returns the
-cover it finds, from which the witness is built.
+has an edge u -> u+r mod n for every r in C.  Two exact solvers, each small
+enough to serve as an independent cross-check for the infinite-graph
+engine: a branch-and-bound over bitmask coverage for one Z_n, and a
+closed-walk DP on the window graph that `oracle_scan` uses to answer every
+n up to a limit at once for sets of small window width.  A search of the
+branch and bound branches on vertices from candidate groups precomputed
+per call and returns the cover it finds, from which the witness is built.
 
 Failed-state table.  All searches on one Z_n share a dict `failed`, where
 failed[m] = b means that no b vertices >= the call's min_vertex cover the
@@ -23,6 +25,9 @@ the iterative deepening, then v + 1 for ascending v while the witness
 grows.  So one table serves the whole solve, and no mask is refuted twice
 with the same budget.
 
+The table holds at most _FAILED_STATES_MAX entries; a search that would
+pass it raises CapExceededError instead of growing without bound.
+
 Coset lemma.  Let g = gcd(n, C).  The subgroup of Z_n generated by C is
 gZ_n, so every edge u -> u+r stays in u's coset, and x -> a + g*x maps
 Z_{n/g} with C/g isomorphically onto the coset a + gZ_n.  A set dominates
@@ -34,6 +39,34 @@ lifted cover on the whole of Z_n.  `domination_number` is deliberately not
 split: its witness and the period identities of verify-paper compare this
 solver with the state-graph engine, which already lifts gcd > 1 sets by the
 same lemma, so they keep a solve of the whole Z_n that does not rest on it.
+
+Window DP.  For n > max|x| no step is 0 mod n, and an n-periodic subset D
+of Z dominates Z under S iff its residues dominate Z_n under S mod n: j is
+dominated iff some j - x with x in S or 0 is a member, which reads the
+same mod n.  Read D as a word of membership bits, with a = max(S, 0),
+b = max(-S, 0) and c = a + b.  A state is the last c bits, the oldest at
+bit 0, and a step appends one bit at bit c-1, so the predecessors of s'
+are 2r and 2r+1 for r = s' mod 2^(c-1): a DP step is two strided slices
+and a minimum.  The dropped bit and the c bits after it are the whole
+window of dominators [j - a, j + b] of one position j, so the step is
+allowed iff that window holds a dominator of j.  The oldest position
+dominates j through a and the newest through -b, so only the step that
+drops a 0 and appends a 0 can be barred, and it is barred iff no middle
+bit dominates j.  A closed walk of length n is then an n-periodic word
+with every position dominated, and the bits it appends are one period, so
+gamma(Z_n, S mod n) is the least number of 1s a closed walk of length n
+appends.  For n < c the walk is closed only from a start state that is
+itself n-periodic, so small n need no special case.  Every dominating set
+has a member and its rotations dominate too, so only walks from states
+whose newest bit is 1 are needed: 2^(c-1) starts, all run in one sweep of
+n_limit steps that reads gamma for every n on the way.  The DP shares no
+code with the branch and bound or the state-graph engine and does not use
+the coset lemma.  Each gamma comes with the walk found by backtracking
+the stored choices, and `oracle_scan` checks that walk's set against the
+connection set, raising CertificateError when it fails.  The DP costs
+about n_limit * 4^c / 2 cell updates for any S, so it serves sets with
+c <= _WINDOW_MAX_C, where it is faster; the measurements are at the
+constant.
 """
 
 from __future__ import annotations
@@ -48,6 +81,27 @@ from .core import GeneratorSet
 from .errors import CapExceededError, CertificateError, InputError, ZeroResidueError
 
 DEFAULT_N_MAX = 30
+
+# The failed-state table of one solve holds at most _FAILED_STATES_MAX
+# entries, about 125 bytes each, and the search raises CapExceededError past
+# it.  Entries at the end of a domination_number solve (2 vCPU, Python
+# 3.11.7): {-9,3} on Z_60 650 587 (87 MB), {1,10} and {-9,1} on Z_110
+# 197 570 and 255 853, {1,12} and {-11,1} on Z_276 2 243 380 and 2 347 063
+# (285-291 MB, 11 s).  {1,13} and {-12,1} on Z_182 held 0.9-1.0 GB before
+# they finished; {1,13} now stops at the cap after 10 s, at 467 MB.
+_FAILED_STATES_MAX = 3_000_000
+
+# oracle_scan solves a set with c <= _WINDOW_MAX_C by _window_scan, and a
+# wider one modulus by modulus with _scan_gamma.  The DP's cost is about
+# n_limit * 4^c / 2 cell updates whatever S is; the branch and bound's
+# grows with n instead.  Milliseconds per set, DP with its checks against
+# _scan_gamma, best of 3-7 in one process (2 vCPU, Python 3.11.7, numpy
+# 2.4.6): the circulant_scan sets (c <= 8 from +-6) to n_limit 27, at
+# c = 4, 6, 8: 0.70, 0.76, 1.31 against 1.54, 2.57, 3.03, and 93 against
+# 263 ms for all 106; twelve sets from +-10 at c = 9, 10, 11, to n_limit 27:
+# 2.98, 10.1, 46.9 against 5.00, 4.36, 5.18, and to n_limit 36: 4.27, 14.4,
+# 65.1 against 26.5, 32.3, 35.7.
+_WINDOW_MAX_C = 9
 
 
 @dataclass(frozen=True)
@@ -129,7 +183,9 @@ def _exists_cover(uncovered: int, budget: int, cover: list[int],
     uncovered vertex of the first group, by count of candidates >= min_vertex,
     that meets the mask.  A mask the table `failed` refutes with its budget
     is not expanded, and a level whose candidates all fail is added to it
-    (the module docstring gives the table's meaning and why it is sound)."""
+    (the module docstring gives the table's meaning and why it is sound).
+    Raises CapExceededError once a write takes the table past
+    _FAILED_STATES_MAX entries."""
     if not uncovered:
         return []
     if (budget <= 0 or uncovered.bit_count() > budget * per_vertex
@@ -164,6 +220,9 @@ def _exists_cover(uncovered: int, budget: int, cover: list[int],
                 # for it, or it would not have been expanded
                 stack.pop()
                 failed[level] = budget + 1
+                if len(failed) > _FAILED_STATES_MAX:
+                    raise CapExceededError("failed states", len(failed),
+                                           _FAILED_STATES_MAX)
                 continue
             break
         else:
@@ -241,6 +300,15 @@ def _lift_cover(found: list[int], g: int) -> set[int]:
     return {a + g * x for x in (0, *found) for a in range(g)}
 
 
+def _check_cover(inst: CirculantInstance, cover: Iterable[int], gamma: int) -> None:
+    """Raise CertificateError unless `cover` is gamma vertices of Z_n that
+    dominate it; a raise, not an assert, so python -O checks it too."""
+    cover = {v % inst.n for v in cover}
+    if len(cover) != gamma or not is_dominating(inst, cover):
+        raise CertificateError(
+            f"cover {sorted(cover)} of Z_{inst.n} does not dominate with {gamma} vertices")
+
+
 def _scan_gamma(inst: CirculantInstance) -> int:
     """Domination number of Z_n, solved on Z_{n/g} with C/g for
     g = gcd(n, C) and certified by the lifted cover on the whole Z_n."""
@@ -250,22 +318,92 @@ def _scan_gamma(inst: CirculantInstance) -> int:
     gamma, found = _search_gamma(coset.n, _cover_masks(coset), _dominator_lists(coset),
                                  {})
     gamma *= g
-    lifted = _lift_cover(found, g)
-    if len(lifted) != gamma or not is_dominating(inst, lifted):
-        raise CertificateError(
-            f"cover {sorted(lifted)} of Z_{n} does not dominate with {gamma} vertices")
+    _check_cover(inst, _lift_cover(found, g), gamma)
     return gamma
+
+
+def _window_scan(s: GeneratorSet, n_limit: int) -> list[tuple[int, int, list[int]]]:
+    """(n, gamma(Z_n, S mod n), a minimum dominating set of Z_n) for every n
+    from max|x| + 1 to n_limit, by one closed-walk DP on the window graph
+    (the module docstring gives the graph and why the DP is exact).
+
+    cost[state, k] is the least weight of a walk of the current length from
+    start state 2^(c-1) + k.  Bit (t-1) % 8 of took_odd[(t-1) // 8, r, k]
+    records whether the walk to the states r and 2^(c-1) + r at length t
+    came from 2r + 1: n_limit * 4^(c-1) / 8 bytes, packed because unpacked
+    they were the DP's largest array.  The sets are backtracked from
+    took_odd and returned unchecked; oracle_scan checks each one.
+    """
+    # Imported here, not at the top: numpy then loaded before formulas and
+    # stategraph, and `import domrat` left 29.6 MB resident instead of
+    # 27.9 MB (2 vCPU, Python 3.11.7, numpy 2.4.6)
+    import numpy as np
+
+    a, c = s.a, s.c
+    start = max(abs(x) for x in s) + 1
+    half = 1 << (c - 1)
+    # bit a - x is set for each x in S and 0: the window offsets, counted from
+    # the dropped bit, of the dominators of the position the step completes
+    dom = 0
+    for x in (0, *s):
+        dom |= 1 << (a - x)
+    # the step 2r -> r drops a 0 and appends a 0; it is barred iff none of
+    # the middle bits r dominates
+    barred = (np.arange(half) & (dom >> 1)) == 0
+    # costs up to n_limit are weights; n_limit + 1 and above mark walks that
+    # do not exist, and stay below 2 * n_limit + 2 over n_limit steps
+    dtype = np.min_scalar_type(2 * n_limit + 2)
+    cost = np.full((2 * half, half), n_limit + 1, dtype)
+    np.fill_diagonal(cost[half:], 0)
+    new = np.empty_like(cost)
+    took_odd = np.zeros((-(-n_limit // 8), half, half), dtype=np.uint8)
+    less = np.empty((half, half), dtype=np.uint8)
+    closed = np.empty((n_limit + 1, half), dtype)  # closed[t, k]: back at start k
+    for t in range(1, n_limit + 1):
+        even, odd = cost[0::2], cost[1::2]  # the predecessors 2r and 2r + 1
+        lo, hi = new[:half], new[half:]  # r and 2^(c-1) + r: new bit 0 and 1
+        np.less(odd, even, out=less)
+        less <<= (t - 1) & 7
+        took_odd[(t - 1) >> 3] |= less
+        np.minimum(even, odd, out=hi)
+        np.copyto(lo, hi)
+        np.copyto(lo, odd, where=barred[:, None])
+        hi += 1
+        np.copyto(closed[t], hi.diagonal())
+        cost, new = new, cost
+
+    # walk back from the best start of every n at once; row i is n = start + i
+    ks = closed[start:].argmin(axis=1)
+    gammas = closed[start:].min(axis=1).tolist()
+    state = ks + half
+    bits = np.zeros((len(gammas), n_limit + 1), dtype=bool)  # bits[i, t]: bit appended at t
+    for t in range(n_limit, 0, -1):
+        i = max(t - start, 0)  # the walks of length n >= t
+        at = state[i:]
+        top = at >= half
+        bits[i:, t] = top
+        r = at & (half - 1)
+        from_odd = (took_odd[(t - 1) >> 3, r, ks[i:]] & (1 << ((t - 1) & 7))) != 0
+        state[i:] = 2 * r + (from_odd | (~top & barred[r]))
+    return [(n, gamma, ((np.flatnonzero(row[1:n + 1]) + 1) % n).tolist())
+            for n, gamma, row in zip(range(start, n_limit + 1), gammas, bits)]
 
 
 def oracle_scan(s: GeneratorSet, n_limit: int,
                 n_max: int = DEFAULT_N_MAX) -> list[tuple[int, int]]:
     """Domination numbers gamma(Z_n, S mod n) for every usable n up to n_limit.
 
-    Only gamma is computed, no witness.  Each Z_n is solved on one coset of
-    the subgroup its connection set generates (the module docstring's
-    lemma), and the cover found, copied to every coset, is checked to
-    dominate Z_n with exactly gamma vertices.  The cap applies to Z_n's own
-    n and is checked before any search.
+    Only gamma is returned, no witness, but every gamma is certified by a
+    cover of Z_n checked to dominate it with exactly gamma vertices.  A set
+    with c <= _WINDOW_MAX_C is solved for every n in one sweep of the
+    window-graph DP (_window_scan), which gives one minimum walk, so one
+    cover, per n; every dominating set has a member, so the walks start only
+    at states whose newest bit is 1.  A wider set is solved modulus by
+    modulus with the branch and bound, each Z_n on one coset of the subgroup
+    its connection set generates (the module docstring's lemma), and the
+    cover found is copied to every coset.  The module docstring gives both
+    arguments, and the comment at _WINDOW_MAX_C the measurements behind the
+    rule.  The cap applies to Z_n's own n and is checked before any search.
     """
     if not s.elements:
         raise InputError("generator set must be nonempty")
@@ -275,7 +413,13 @@ def oracle_scan(s: GeneratorSet, n_limit: int,
     if n_limit > n_max:
         raise CapExceededError("n", max(start, n_max + 1), n_max)
     # n > max|x|, so no generator is 0 mod n
-    return [(n, _scan_gamma(residues(s, n))) for n in range(start, n_limit + 1)]
+    if s.c > _WINDOW_MAX_C:
+        return [(n, _scan_gamma(residues(s, n))) for n in range(start, n_limit + 1)]
+    scan = []
+    for n, gamma, cover in _window_scan(s, n_limit):
+        _check_cover(residues(s, n), cover, gamma)
+        scan.append((n, gamma))
+    return scan
 
 
 def ratio_oracle(s: GeneratorSet, n_limit: int,

@@ -207,11 +207,14 @@ def test_ratio_oracle_examples(els, limit, want, at):
 
 
 def test_oracle_scan_range_and_errors():
-    s = GeneratorSet([1, -3])
-    scan = oracle_scan(s, 10)
-    assert [n for n, _ in scan] == [4, 5, 6, 7, 8, 9, 10]
-    with pytest.raises(InputError):
-        oracle_scan(s, 2)
+    # {1,-3} is scanned by the window DP, {-5,6} by the branch and bound
+    assert GeneratorSet([-5, 6]).c > circulant._WINDOW_MAX_C >= GeneratorSet([1, -3]).c
+    for els, first in (([1, -3], 4), ([-5, 6], 7)):
+        s = GeneratorSet(els)
+        scan = oracle_scan(s, 10)
+        assert [n for n, _ in scan] == list(range(first, 11))
+        with pytest.raises(InputError):
+            oracle_scan(s, 2)
     with pytest.raises(InputError):
         oracle_scan(GeneratorSet([]), 10)
 
@@ -221,7 +224,9 @@ def test_scan_refuses_cap_before_any_search(monkeypatch):
         raise AssertionError("searched before refusing the cap")
 
     monkeypatch.setattr(circulant, "_exists_cover", search)
-    for els, limit, cap, first in (([-4, 2, 4], 37, 36, 37), ([9], 12, 8, 10)):
+    monkeypatch.setattr(circulant, "_window_scan", search)
+    for els, limit, cap, first in (([-4, 2, 4], 37, 36, 37), ([9], 12, 8, 10),
+                                   ([-5, 6], 31, 30, 31)):
         for scan in (oracle_scan, ratio_oracle):
             with pytest.raises(CapExceededError) as err:
                 scan(GeneratorSet(els), limit, n_max=cap)
@@ -247,11 +252,14 @@ _SPLIT = [(els, n, residues(GeneratorSet(els), n)) for els in _CIRC_SETS
 
 
 def test_scan_matches_unreduced_solve_on_split_instances():
+    # on both of the scan's paths: the window DP, and the branch and bound
+    # on one coset
     assert len(_CIRC_SETS) == 106 and len(_SPLIT) == 191
     scans = {els: dict(oracle_scan(GeneratorSet(els), 27, n_max=27))
              for els in {els for els, _, _ in _SPLIT}}
     for els, n, inst in _SPLIT:
-        assert scans[els][n] == domination_number(inst, n_max=27)[0], (els, n)
+        gamma = domination_number(inst, n_max=27)[0]
+        assert scans[els][n] == circulant._scan_gamma(inst) == gamma, (els, n)
 
 
 def _brute_gamma(inst: CirculantInstance) -> int:
@@ -269,7 +277,61 @@ def test_scan_matches_brute_force_on_small_split_instances():
     scans = {els: dict(oracle_scan(GeneratorSet(els), 12))
              for els in {els for els, _, _ in small}}
     for els, n, inst in small:
-        assert scans[els][n] == _brute_gamma(inst), (els, n)
+        assert scans[els][n] == circulant._scan_gamma(inst) == _brute_gamma(inst), (els, n)
+
+
+def _check_window_scan(s: GeneratorSet, n_limit: int) -> list[int]:
+    """_window_scan against domination_number at every n, each cover checked
+    for size and domination; returns the moduli it compared."""
+    scan = circulant._window_scan(s, n_limit)
+    assert [n for n, _, _ in scan] == list(range(max(map(abs, s)) + 1, n_limit + 1))
+    for n, gamma, cover in scan:
+        inst = residues(s, n)
+        assert gamma == domination_number(inst, n_max=n_limit)[0], (s, n)
+        assert len(cover) == len({v % n for v in cover}) == gamma, (s, n, cover)
+        assert is_dominating(inst, cover), (s, n, cover)
+    return [n for n, _, _ in scan]
+
+
+def test_window_scan_matches_domination_number_on_circulant_scan_sets():
+    below = [GeneratorSet(els) for els in _CIRC_SETS
+             if GeneratorSet(els).c <= circulant._WINDOW_MAX_C]
+    assert len(below) == 106
+    assert sum(len(_check_window_scan(s, 27)) for s in below) == 2383
+
+
+def test_window_scan_matches_domination_number_on_random_sets():
+    # spans up to the rule and moduli up to 20, so that n < c and gcd(n, C) > 1
+    # both occur, gcd(S) > 1 among them
+    rng = random.Random(27)
+    short = split = 0
+    for _ in range(40):
+        s = GeneratorSet(rng.sample([x for x in range(-6, 7) if x], rng.randint(1, 3)))
+        if s.c > circulant._WINDOW_MAX_C:
+            continue
+        for n in _check_window_scan(s, rng.randint(max(map(abs, s)) + 1, 20)):
+            short += n < s.c
+            split += math.gcd(n, *residues(s, n).connection) > 1
+    assert short >= 10 and split >= 10, (short, split)
+
+
+def test_window_scan_matches_domination_number_on_edge_sets():
+    # c = 1 has a single start state; a set of one step has no middle bit
+    # that dominates, so every step that drops a 0 and appends one is barred
+    for els, n_limit in (([1], 9), ([-1], 9), ([4], 12), ([-3], 12), ([2, 4], 14)):
+        _check_window_scan(GeneratorSet(els), n_limit)
+
+
+def test_window_scan_costs_past_uint8():
+    # n_limit 130 needs 16-bit costs: the answers up to 27 agree with the
+    # 8-bit sweep, and every cover up to 130 is checked
+    for els in ([2, 5], [-3, 1, 4]):
+        s = GeneratorSet(els)
+        wide = circulant._window_scan(s, 130)
+        assert [(n, g) for n, g, _ in wide[:27 - max(map(abs, s))]] == [
+            (n, g) for n, g, _ in circulant._window_scan(s, 27)]
+        for n, gamma, cover in wide:
+            circulant._check_cover(residues(s, n), cover, gamma)
 
 
 def test_domination_number_matches_brute_force_on_non_split_instances():
@@ -335,13 +397,16 @@ def _run_optimized(code: str) -> subprocess.CompletedProcess:
 def test_search_failure_raises_under_optimize_flag():
     # k = n always dominates, so a search finding nothing is an internal
     # error; it must say so under python -O too, not fail later on None,
-    # on the witness path and on the scan's gamma-only path alike
+    # on the witness path and on the scan's gamma-only path alike.  The
+    # scanned set is one wider than the window DP's rule, so the scan runs
+    # the branch and bound
     out = _run_optimized("""
 from domrat import circulant
 from domrat.core import GeneratorSet
 circulant._exists_cover = lambda *args: None
+wide = circulant._WINDOW_MAX_C + 1
 for solve in (lambda: circulant.domination_number(circulant.CirculantInstance(5, [1])),
-              lambda: circulant.oracle_scan(GeneratorSet([1]), 5)):
+              lambda: circulant.oracle_scan(GeneratorSet([1, wide]), wide + 1)):
     try:
         solve()
     except AssertionError as err:
@@ -352,9 +417,11 @@ for solve in (lambda: circulant.domination_number(circulant.CirculantInstance(5,
 
 
 def test_scan_certificate_refuses_bad_lift_under_optimize_flag():
-    # {-6,3} first splits at n = 9 (C = {3}, g = 3); a lift that drops the
-    # coset 3Z_9 has too few vertices, and a lift to gamma consecutive
-    # vertices has the right size but leaves Z_7 undominated
+    # {-6,6}, c = 12, is scanned by the branch and bound.  It first splits
+    # at n = 8 (C = {2,6}, g = 2); a lift that drops the coset 2Z_8 has too
+    # few vertices, and a lift to gamma consecutive vertices has the right
+    # size but leaves Z_7 undominated
+    assert GeneratorSet([-6, 6]).c > circulant._WINDOW_MAX_C
     out = _run_optimized("""
 from domrat import circulant
 from domrat.core import GeneratorSet
@@ -364,13 +431,76 @@ for bad in (lambda found, g: {v for v in lift(found, g) if g == 1 or v % g},
             lambda found, g: set(range(g * (len(found) + 1)))):
     circulant._lift_cover = bad
     try:
-        circulant.oracle_scan(GeneratorSet([-6, 3]), 27, n_max=27)
+        circulant.oracle_scan(GeneratorSet([-6, 6]), 27, n_max=27)
     except CertificateError as err:
         print("raised", err)
 """)
     lines = out.stdout.splitlines()
     assert len(lines) == 2 and all(line.startswith("raised") for line in lines), out.stderr
-    assert "of Z_9 " in lines[0] and "of Z_7 " in lines[1], lines
+    assert "of Z_8 " in lines[0] and "of Z_7 " in lines[1], lines
+
+
+def test_window_scan_certificate_refuses_bad_cover_under_optimize_flag():
+    # a DP that drops one member of one cover or of every cover, or that
+    # understates gamma with or without a member less, must not get its
+    # gamma through: the size check and the domination check each catch one
+    out = _run_optimized("""
+from domrat import circulant
+from domrat.core import GeneratorSet
+from domrat.errors import CertificateError
+scan = circulant._window_scan
+def drop_at(at):
+    return lambda s, n_limit: [(n, g, cover[1:] if n in at else cover)
+                               for n, g, cover in scan(s, n_limit)]
+def understate(drop):
+    return lambda s, n_limit: [(n, g - 1, cover[drop:]) for n, g, cover in scan(s, n_limit)]
+for bad in (drop_at({11}), drop_at(range(28)), understate(1), understate(0)):
+    circulant._window_scan = bad
+    try:
+        circulant.oracle_scan(GeneratorSet([-3, 2]), 27, n_max=27)
+    except CertificateError as err:
+        print("raised", err)
+""")
+    lines = out.stdout.splitlines()
+    assert len(lines) == 4 and all(line.startswith("raised") for line in lines), out.stderr
+    assert "of Z_11 " in lines[0] and all("of Z_4 " in line for line in lines[1:]), lines
+
+
+def _table_entries(monkeypatch, inst) -> tuple[int, tuple]:
+    """Entries of the failed-state table at the end of domination_number,
+    and its answer."""
+    tables = []
+    search = circulant._exists_cover
+
+    def spy(*args):
+        tables.append(args[5])
+        return search(*args)
+
+    monkeypatch.setattr(circulant, "_exists_cover", spy)
+    answer = domination_number(inst)
+    monkeypatch.setattr(circulant, "_exists_cover", search)
+    assert all(t is tables[0] for t in tables)  # one table per solve
+    return len(tables[0]), answer
+
+
+def test_failed_state_table_budget(monkeypatch):
+    # a solve whose table ends with exactly the budget answers; one entry
+    # less and it is refused, on the witness path and on the scan's branch
+    # and bound alike
+    inst = CirculantInstance(20, [1, 3])
+    entries, answer = _table_entries(monkeypatch, inst)
+    assert entries > 10
+    monkeypatch.setattr(circulant, "_FAILED_STATES_MAX", entries)
+    assert domination_number(inst) == answer
+    monkeypatch.setattr(circulant, "_FAILED_STATES_MAX", entries - 1)
+    with pytest.raises(CapExceededError) as err:
+        domination_number(inst)
+    assert (err.value.what, err.value.value, err.value.cap) == (
+        "failed states", entries, entries - 1)
+    monkeypatch.setattr(circulant, "_FAILED_STATES_MAX", 3)
+    with pytest.raises(CapExceededError) as err:
+        oracle_scan(GeneratorSet([-5, 6]), 20, n_max=20)
+    assert str(err.value) == "failed states=4 exceeds cap 3"
 
 
 def test_witness_self_check(monkeypatch):

@@ -452,6 +452,13 @@ def test_failed_self_check_exits_4(capsys, monkeypatch):
     assert "does not dominate" in err
 
 
+def test_failed_state_table_past_budget_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(circulant, "_FAILED_STATES_MAX", 3)
+    code, out, err = run(capsys, "domnum", "20", "{1,3}")
+    assert code == 3 and out == ""
+    assert err == "resource cap: failed states=4 exceeds cap 3\n"
+
+
 def test_failed_circulant_self_check_exits_4(capsys, monkeypatch):
     monkeypatch.setattr(circulant, "_cover_masks",
                         lambda inst: [(1 << inst.n) - 1] * inst.n)
