@@ -21,27 +21,50 @@ The consistency test factors through two per-state masks over the window:
     (T, T') consistent  <=>  uncovered(T) is a subset of covers(T')
 
 so the whole edge relation is two arrays of 2^c masks, never a 2^c x 2^c
-table.  The minimum cycle mean is found by testing candidate means mu = p/q
-exactly: subtracting p from q-scaled weights makes cycles below mu negative,
-and a vectorized Bellman-Ford pass either certifies none exist or yields a
-strictly better cycle from its predecessor pointers.  Each pass packs
-(value, state) into one int64 as value << c | state, so a single
-subset-minimum transform carries both the minimum and its argmin.  Those
-pointer cycles are the states left once the image of the pointer map stops
-shrinking under squaring, at a cost that follows that image, not 2^c.  Each
-test after the first starts its values on the cycle the previous test found,
-not at zero: that reaches the same fixpoint, often in far fewer rounds.
-Once a round improves only a few states, later rounds keep the transform and
-lower it just at the supermasks of those states' masks, re-evaluating only
-the states whose predecessor minimum fell.  The transform runs bit by bit,
-each pass one ufunc call on views of one buffer that are made once per
-solve, since on small graphs making them cost half as much as the calls;
-on large arrays it runs with a small ufunc buffer, its low bits block by
-cache-sized block (see _subset_transform).  The canonical cycle is read
-off the tight edges of the converged potentials: a prune by subset
-transforms (finished on explicit edges once few pairs are left) keeps the
-states on tight cycles, its first predecessor test read off the
-certifying round's transform, and the shortest-cycle search looks up a
+table.  Potentials feasible at a mean mu = p/q are integers y with
+y(v) <= y(u) + q*w(v) - p on every edge u -> v.  Round a cycle those
+slacks sum to q*(its weight) - p*(its length), so with mu the minimum mean
+the minimizing cycles are exactly the cycles of tight (zero-slack) edges,
+whichever feasible y is read.  Both ways of finding mu below end with such
+a y, and the canonical cycle is read off it; so it cannot depend on which
+way found mu.  Each way packs (value, state) into one int64 as
+value << c | state, so a single subset-minimum transform carries both the
+least value over a state's predecessors and its argmin.
+
+Below 2^14 states mu is found by Howard's policy iteration (Cochet-Terrasson
+et al. 1998; Dasdan 2004; see _howard).  A policy gives each state one
+predecessor.  Its cycles are labelled by pointer doubling, and pointer
+jumping to a root on each cycle gives every state its cycle's mean and a
+potential; one transform per iteration switches states to better
+predecessors, until a round switches none and the potentials are feasible.
+This rests on a hub.  The full state, all of [1, c], dominates its whole
+window, positions above c through step a, and its shifted copy dominates
+it too, positions up to c through step -b: uncovered(full) is empty and
+covers(full) is everything, so the full state has an edge to and from
+every state.  The graph is then strongly connected: while the policy
+cycles' means differ, some state has a predecessor of lower mean.
+
+From 2^14 states on, where Howard is not yet faster on every set (see
+_SPARSE_MIN_STATES), mu is found by testing candidate means exactly:
+subtracting p from q-scaled weights makes cycles below mu negative, and a
+vectorized Bellman-Ford pass either certifies none exist or yields a
+strictly better cycle from its predecessor pointers.  Those pointer cycles,
+like the policy's, are the states left once the image of the pointer map
+stops shrinking under squaring, at a cost that follows that image, not
+2^c.  Each test after the first starts its values on the cycle the previous
+test found, not at zero: that reaches the same fixpoint, often in far fewer
+rounds.  Once a round improves only a few states, later rounds keep the
+transform and lower it just at the supermasks of those states' masks,
+re-evaluating only the states whose predecessor minimum fell.
+
+The transform runs bit by bit, each pass one ufunc call on views of one
+buffer that are made once per solve, since on small graphs making them
+cost half as much as the calls; on large arrays it runs with a small ufunc
+buffer, its low bits block by cache-sized block (see _subset_transform).
+The canonical cycle is read off the tight edges of the final potentials: a
+prune by subset transforms (finished on explicit edges once few pairs are
+left) keeps the states on tight cycles, its first predecessor test read
+off the last round's transform, and the shortest-cycle search looks up a
 state's tight predecessors among them when it first needs them.  All
 arithmetic is integer/Fraction; no floating point anywhere.
 
@@ -254,9 +277,10 @@ def _subset_transform(plan: tuple[bool, list], ufunc: np.ufunc) -> None:
     """In place on the plan's buffer t (see _transform_plan): t[m] becomes
     ufunc reduced over t at all submasks of m.
 
-    min_mean_cycle builds its plans once, for every threshold round and
-    prune iteration: at c <= 12 each pass is one short ufunc call, and
-    making its views afresh at every call cost about half as much again.
+    min_mean_cycle builds its plans once, for every policy iteration or
+    threshold round and every prune iteration: at c <= 12 each pass is one
+    short ufunc call, and making its views afresh at every call cost about
+    half as much again.
 
     From c = _UNBUFFERED_MIN_C on, two things make the passes cheaper.
     numpy buffers a ufunc's strided 2-D operands whose inner runs are short,
@@ -285,14 +309,19 @@ def _subset_transform(plan: tuple[bool, list], ufunc: np.ufunc) -> None:
 # for c <= C_LIMIT = 28 (q <= 2^c, p <= (c+1)q), so such a state never improves
 _INF = np.int64(1) << np.int64(61)
 
-# A threshold round is sparse (see _test_threshold) when n is at least
-# _SPARSE_MIN_STATES and the masks of the states the last round improved
-# have fewer than n / _SPARSE_SHARE supermasks in all.  A sparse round makes
-# some 10c small numpy calls whatever n is: on the certifying tests of
-# {1,c}, {-1,c-1} and {1,2,2-c} it lost 40-150 us a round to a full round
-# at c = 9..12, broke even at c = 13 and won from c = 14 (6 ms a round at
-# c = 18).  The share caps the supermasks a sparse round can enumerate;
-# any share from 1 to 64 timed the same on the c = 16..18 sets.
+# min_mean_cycle runs Howard's policy iteration (_howard) on hub graphs of
+# fewer than _SPARSE_MIN_STATES states, and threshold tests on the rest.  Best
+# of 5 in-process runs each (2 vCPU, numpy 2.4), Howard against the threshold
+# tests: {1,16}, {1,17}, {1,18} took 24, 31, 76 ms against 25, 15, 55 ms, its
+# pointer jumping running over all 2^c states and its tight subgraph larger;
+# six random 3-element sets at c = 15..17 took 0.19-1.29 times as long, median
+# 0.73.  In one run each of a scratch copy, {-19,3} at c = 22 took 3.24 s
+# against 3.81 s and {1,21} 1.13 s against 0.73 s.  A threshold round is
+# sparse (see _test_threshold) when the masks of the states the last round
+# improved have fewer than n / _SPARSE_SHARE supermasks in all.  A sparse
+# round makes some 10c small numpy calls whatever n is, and wins from c = 14
+# on (6 ms a round at c = 18).  The share caps the supermasks a sparse round
+# can enumerate; any share from 1 to 64 timed the same on the c = 16..18 sets.
 _SPARSE_MIN_STATES = 1 << 14
 _SPARSE_SHARE = 8
 
@@ -342,6 +371,31 @@ def _orbit(f: np.ndarray, v: int) -> list[int]:
     return cycle
 
 
+def _label_cycles(f: np.ndarray, weights: np.ndarray, nxt: np.ndarray,
+                  pos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cycles of the pointer map f (f[v] == -1: none), each as its
+    smallest node, ascending, with its length and total weight.
+
+    Pointer doubling among the cycle nodes (_pointer_cycle_nodes) labels
+    each cycle by its smallest node until a doubling lowers none; nxt and
+    pos are scratch.
+    """
+    d = _pointer_cycle_nodes(f, nxt, pos)
+    m = d.size
+    lo = np.arange(m)
+    pos[d] = lo
+    step = pos[f[d]]
+    while not np.array_equal(lower := np.minimum(lo, lo[step]), lo):
+        lo, step = lower, step[step]
+
+    # length and total weight of each cycle, at its label
+    length = np.bincount(lo, minlength=m)
+    heads = np.flatnonzero(length)  # ascending, as their smallest nodes
+    total = np.zeros(m, dtype=np.int64)
+    np.add.at(total, lo, weights[d])
+    return d[heads], length[heads], total[heads]
+
+
 def _scan_pred_cycles(pred: np.ndarray, weights: np.ndarray,
                       nxt: np.ndarray, pos: np.ndarray) -> tuple[Fraction, int] | None:
     """Smallest mean among the predecessor-pointer cycles, with the smallest
@@ -351,38 +405,20 @@ def _scan_pred_cycles(pred: np.ndarray, weights: np.ndarray,
     Predecessor edges are real graph edges, so any pointer cycle is a real
     cycle; pointers are only (re)assigned on strict improvement, which makes
     every pointer cycle strictly negative for the current threshold, so
-    every mean found is below it (_test_threshold checks that).
-
-    Pointer doubling among the cycle nodes (_pointer_cycle_nodes) labels
-    each cycle by its smallest node until a doubling lowers none; nxt and
-    pos are scratch.
+    every mean found is below it (_test_threshold checks that).  The cycles
+    come from _label_cycles; nxt and pos are scratch.
     """
-    d = _pointer_cycle_nodes(pred, nxt, pos)
-    m = d.size
-    if not m:
+    heads, length, total = _label_cycles(pred, weights, nxt, pos)
+    if not heads.size:
         return None  # every walk ends at a node without a pointer
 
-    # label each cycle by its smallest node, as an index into d
-    lo = np.arange(m)
-    pos[d] = lo
-    step = pos[pred[d]]
-    while not np.array_equal(lower := np.minimum(lo, lo[step]), lo):
-        lo, step = lower, step[step]
-
-    # length and total weight of each cycle, at its label
-    length = np.bincount(lo, minlength=m)
-    heads = np.flatnonzero(length)  # ascending, as their smallest nodes
-    total = np.zeros(m, dtype=np.int64)
-    np.add.at(total, lo, weights[d])
-    length, total = length[heads], total[heads]
-
     # smallest total per cycle length; disjoint cycles have fewer than
-    # sqrt(2m) distinct lengths, so few Fractions are built
-    by_length = np.full(m + 1, _INF, dtype=np.int64)  # totals stay below c*2^c
+    # sqrt(2m) distinct lengths, m the cycle nodes, so few Fractions are built
+    by_length = np.full(int(length.max()) + 1, _INF, dtype=np.int64)  # totals stay below c*2^c
     np.minimum.at(by_length, length, total)
     best, k = min((Fraction(int(by_length[k]), k), k)
                   for k in np.flatnonzero(by_length < _INF).tolist())
-    return best, int(d[heads[np.argmax((length == k) & (total == by_length[k]))]])
+    return best, int(heads[np.argmax((length == k) & (total == by_length[k]))])
 
 
 def _lower_supermasks(t: np.ndarray, masks: np.ndarray, keys: np.ndarray,
@@ -430,7 +466,7 @@ def _test_threshold(g: StateGraph, t: np.ndarray, plan: tuple[bool, list],
     v, so y starts between the fixpoint and 0 and iterates to the same
     potentials, usually in fewer rounds.
 
-    Once few states improve per round (see _SPARSE_MIN_STATES), the
+    Once few states improve per round (see _SPARSE_SHARE), the
     transform is kept from round to round instead of rebuilt: values only
     fall, so only the supermasks of the improved states' masks can fall,
     and only states whose covers mask fell can improve.  Those sparse
@@ -483,8 +519,7 @@ def _test_threshold(g: StateGraph, t: np.ndarray, plan: tuple[bool, list],
             y_min = int(y.min())
             np.bitwise_and(gval, n - 1, out=cand)
             np.copyto(pred, cand, where=improved)
-            if (n >= _SPARSE_MIN_STATES
-                    and np.count_nonzero(improved) * _SPARSE_SHARE < n):
+            if np.count_nonzero(improved) * _SPARSE_SHARE < n:
                 front = np.flatnonzero(improved)
             del improved  # n bytes, not to be alive through the cycle scan
         else:
@@ -518,6 +553,108 @@ def _test_threshold(g: StateGraph, t: np.ndarray, plan: tuple[bool, list],
             if rnd == n + 1:
                 raise AssertionError("value iteration passed round n+1 without a cycle")
     raise AssertionError("unreachable")
+
+
+def _evaluate_policy(pred: np.ndarray, weights: np.ndarray, nxt: np.ndarray,
+                     pos: np.ndarray) -> tuple[Fraction | None, np.ndarray]:
+    """Each state's cycle under the predecessor policy pred: (mu, y) when
+    every policy cycle has mean mu = p/q, else (None, rank).
+
+    rank(v) numbers the mean of the cycle v's pointers reach among the
+    distinct cycle means, from 0 up.  y(v) is the weight of the policy path
+    from that cycle's root, its smallest node, to v, each step into a state
+    x weighing q*w(x) - p: y is 0 at the root and y(v) = y(pred(v)) +
+    q*w(v) - p at every other state, also around the cycle, whose steps
+    sum to 0.  Both follow the pointers to the root by pointer jumping,
+    with each root pointing at itself.  nxt and pos are scratch (see
+    _label_cycles).
+    """
+    roots, length, total = _label_cycles(pred, weights, nxt, pos)
+    uniform = bool((total * length[0] == total[0] * length).all())
+    np.copyto(nxt, pred)
+    anc = nxt
+    anc[roots] = roots
+    if uniform:
+        mu = Fraction(int(total[0]), int(length[0]))
+        y = np.int64(mu.denominator) * weights - np.int64(mu.numerator)
+        y[roots] = 0
+    while not np.array_equal(up := anc[anc], anc):
+        if uniform:
+            y += y[anc]
+        anc = up
+    if uniform:
+        return mu, y
+    means = [Fraction(w, k) for w, k in zip(total.tolist(), length.tolist())]
+    rank = {m: r for r, m in enumerate(sorted(set(means)))}
+    pos[roots] = [rank[m] for m in means]
+    return None, pos[anc]
+
+
+def _howard(g: StateGraph, t: np.ndarray, plan: tuple[bool, list]) -> tuple[Fraction, np.ndarray]:
+    """Minimum cycle mean mu and potentials y feasible at mu, by Howard's
+    policy iteration, for a graph whose full state is a hub (see
+    min_mean_cycle).  t, 2^c entries, is left the packed transform of the
+    final y, as _test_threshold's certifying round leaves it; plan is its
+    minimum transform.
+
+    A policy gives each state one predecessor, at first its smallest.  Each
+    iteration evaluates the policy (_evaluate_policy) and improves it with
+    one subset-minimum transform, packed as in _test_threshold:
+      * while the policy cycles' means differ, keyed rank << c | u, each
+        state switches to its predecessor of least rank if that is below
+        its own.  Ranks fall along switched pointers and hold along the
+        rest, so every cycle of the new policy is an old one: no mean rises
+        and the switched states' fall;
+      * once they are all mu = p/q, keyed y << c | u, each state switches
+        to its predecessor u of least y when y(u) + q*w(v) - p < y(v).  A
+        new cycle through a switched state then has mean below mu, and
+        otherwise y falls at every switched state and rises nowhere, since
+        an unchanged cycle keeps its root.
+    So no policy repeats.  A round that switches nothing leaves y(v) <=
+    y(u) + q*w(v) - p on every edge u -> v: y is feasible at mu, which is
+    the mean of a cycle, so mu is the minimum.  The hub has an edge to and
+    from every state, so the graph is strongly connected: while the means
+    differ, an edge leaves the states of the least one, and the mean round
+    switches its head.  No polynomial bound on the number of iterations is
+    known; 1446 graphs with c <= 13, reduced or not, took at most 24, and
+    at most 12 at c <= 8, so passing n + 1 is taken for a fault.
+    """
+    uncovered, covers, weights, c, n = g.uncovered, g.covers, g.weights, g.c, g.n_states
+    idx = np.arange(n, dtype=np.int64)
+    best = np.empty(n, dtype=np.int64)
+    nxt, pos = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+
+    def lowest(val: np.ndarray) -> np.ndarray:
+        # best[v]: the least val(u) << c | u over the predecessors u of v; the
+        # hub is one, so none reads the sentinel.  val spans 0, the roots' y
+        # and the least rank, so the keys lie strictly between -span and span
+        span = (int(val.max()) - int(val.min()) + 1) * n
+        if span >= int(_INF):
+            raise CapExceededError("packed (value, node) span", span, int(_INF))
+        packed = val << c
+        packed |= idx
+        t.fill(_INF)
+        np.minimum.at(t, uncovered, packed)
+        del packed
+        _subset_transform(plan, np.minimum)
+        return np.take(t, covers, out=best)
+
+    pred = lowest(np.zeros(n, dtype=np.int64)) & (n - 1)
+    for _ in range(n + 1):
+        mu, val = _evaluate_policy(pred, weights, nxt, pos)
+        key = lowest(val) >> c
+        if mu is None:
+            better = key < val
+            if not better.any():  # not an assert: it must hold under python -O
+                raise AssertionError("policy cycle means differ, but no state has a "
+                                     "predecessor of lower mean")
+        else:
+            key += np.int64(mu.denominator) * weights - np.int64(mu.numerator)
+            better = key < val
+            if not better.any():
+                return mu, val
+        np.copyto(pred, best & (n - 1), where=better)
+    raise AssertionError(f"policy iteration passed {n + 1} iterations")
 
 
 def _cycle_nodes(g: StateGraph, y: np.ndarray, tgt: np.ndarray, t: np.ndarray,
@@ -652,25 +789,33 @@ def _canonical_cycle(g: StateGraph, mu: Fraction, y: np.ndarray, t: np.ndarray,
 def min_mean_cycle(g: StateGraph) -> tuple[Fraction, tuple[int, ...]]:
     """Exact minimum cycle mean and the canonical minimizing cycle.
 
-    Edge weight into a state is that state's population count.  Candidate
-    means decrease strictly (each is achieved by an explicit cycle) until a
-    convergence certificate shows no cycle beats the last one.  Each test
-    after the first starts from the cycle the previous test found.  Every
-    test and the canonical cycle share one transform buffer t, and the
-    plans of its minimum and maximum transforms are built once here.
+    Edge weight into a state is that state's population count.  A graph of
+    fewer than _SPARSE_MIN_STATES states whose full state is a hub, with an
+    edge to and from every state as in every graph build_state_graph makes
+    (see the module docstring), is solved by Howard's policy iteration
+    (_howard).  Any other is solved by threshold tests: candidate means
+    decrease strictly (each is achieved by an explicit cycle) until a
+    convergence certificate shows no cycle beats the last one, and each test
+    after the first starts from the cycle the previous test found.  Either
+    way ends with potentials feasible at the minimum, which fix the
+    canonical cycle whatever they are.  Every round and the canonical cycle
+    share one transform buffer t, and the plans of its minimum and maximum
+    transforms are built once here.
     """
-    mu = Fraction(g.c + 1)  # above any cycle mean, so the first test finds a cycle
-    seed = None
-    t = np.empty(g.n_states, dtype=np.int64)
+    n = g.n_states
+    t = np.empty(n, dtype=np.int64)
     low, high = _transform_plan(t, g.c), _transform_plan(t[::-1], g.c)
-    while True:
-        result = _test_threshold(g, t, low, mu, seed)
-        if result.converged:
-            break
-        mu, seed = result.mean, result.cycle
-    if mu == Fraction(g.c + 1):
-        raise InputError("state graph has no cycle")
-    return mu, _canonical_cycle(g, mu, result.y, t, low, high)
+    if n < _SPARSE_MIN_STATES and g.uncovered[-1] == 0 and g.covers[-1] == n - 1:
+        mu, y = _howard(g, t, low)
+    else:
+        mu = Fraction(g.c + 1)  # above any cycle mean, so the first test finds a cycle
+        seed = None
+        while not (result := _test_threshold(g, t, low, mu, seed)).converged:
+            mu, seed = result.mean, result.cycle
+        if mu == Fraction(g.c + 1):
+            raise InputError("state graph has no cycle")
+        y = result.y
+    return mu, _canonical_cycle(g, mu, y, t, low, high)
 
 
 # ---------------------------------------------------------------------------

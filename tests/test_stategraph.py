@@ -148,6 +148,212 @@ def test_min_mean_cycle_rejects_acyclic_fixture():
         min_mean_cycle(StateGraph(2, uncovered, covers, weights))
 
 
+# ---------------------------------------------------------------------------
+# Howard's policy iteration (below 2^14 states) against the threshold tests
+
+
+def _count_calls(monkeypatch, name):
+    """A list that gains an entry at every call of stategraph.<name>."""
+    calls = []
+    fn = getattr(stategraph, name)
+
+    def counted(*args):
+        calls.append(1)
+        return fn(*args)
+
+    monkeypatch.setattr(stategraph, name, counted)
+    return calls
+
+
+def _howard_and_threshold(monkeypatch, g):
+    """min_mean_cycle of g by Howard's policy iteration and by the threshold
+    tests, each chosen through the dispatch's size."""
+    howard = _count_calls(monkeypatch, "_howard")
+    tests = _count_calls(monkeypatch, "_test_threshold")
+    with monkeypatch.context() as m:
+        m.setattr(stategraph, "_SPARSE_MIN_STATES", g.n_states + 1)
+        got = min_mean_cycle(g)
+    assert (len(howard), len(tests)) == (1, 0)
+    with monkeypatch.context() as m:
+        m.setattr(stategraph, "_SPARSE_MIN_STATES", 0)
+        want = min_mean_cycle(g)
+    assert len(howard) == 1 and tests
+    return got, want
+
+
+def test_min_mean_cycle_dispatch(monkeypatch):
+    # Howard below 2^14 states, the threshold tests from there on
+    for els, howard_runs in [([1, 13], 1), ([-12, 1], 1), ([1, 14], 0), ([2, -12], 0)]:
+        howard = _count_calls(monkeypatch, "_howard")
+        tests = _count_calls(monkeypatch, "_test_threshold")
+        min_mean_cycle(build_state_graph(GeneratorSet(els), c_max=14))
+        assert (len(howard), bool(tests)) == (howard_runs, not howard_runs)
+        monkeypatch.undo()
+
+
+def _swarm_sets():
+    """perfbench's ratio_swarm sets, each with its negation: 1-3 elements
+    from +-8 with c <= 12 (its 572 solves, less 6 sets equal to their
+    negation)."""
+    pool = [x for x in range(-8, 9) if x]
+    return [GeneratorSet(els) for k in (1, 2, 3) for els in combinations(pool, k)
+            if GeneratorSet(els).c <= 12]
+
+
+def test_howard_matches_threshold_tests_on_swarm_sets(monkeypatch):
+    # the graphs of S itself, so the 89 sets with gcd > 1 tie many cycles
+    sets = _swarm_sets()
+    assert len(sets) == 566 and sum(math.gcd(*s) > 1 for s in sets) == 89
+    for s in sets:
+        got, want = _howard_and_threshold(monkeypatch, build_state_graph(s, c_max=12))
+        assert got == want, s
+
+
+def _random_sets(seed, count, c_max):
+    """count seeded sets of 1-4 elements with c <= c_max, a third of them
+    scaled by 2 or 3 (gcd > 1)."""
+    rng = np.random.default_rng(seed)
+    pool = [x for x in range(-c_max, c_max + 1) if x]
+    out = []
+    while len(out) < count:
+        els = rng.choice(pool, int(rng.integers(1, 5)), replace=False).tolist()
+        if len(out) % 3 == 2:
+            k = int(rng.integers(2, 4))
+            els = [k * x for x in els]
+        if GeneratorSet(els).c <= c_max:
+            out.append(GeneratorSet(els))
+    return out
+
+
+@pytest.mark.parametrize("els", [[-7, 1, 3], [5, 15], [-8, 8], [13], [1, 12], [-1, 12],
+                                 [2, -11], [-6, 3, 7], [4, -9], [1, 16]])
+def test_howard_matches_threshold_tests_on_tie_heavy_and_wide_sets(monkeypatch, els):
+    # sets whose many minimizing cycles tie, the largest graphs Howard
+    # solves as shipped (c = 13), and two past them
+    g = build_state_graph(GeneratorSet(els), c_max=16)
+    got, want = _howard_and_threshold(monkeypatch, g)
+    assert got == want
+
+
+def test_howard_matches_threshold_tests_on_random_sets(monkeypatch):
+    sets = _random_sets(2811, 60, 13)
+    assert any(math.gcd(*s) > 1 for s in sets) and max(s.c for s in sets) == 13
+    for s in sets:
+        got, want = _howard_and_threshold(monkeypatch, build_state_graph(s, c_max=13))
+        assert got == want, s
+
+
+@pytest.mark.parametrize("els", [[1], [2], [1, 2], [1, -2], [2, -3], [2, 3, -1], [3, -3],
+                                 [1, 2, -3], [1, -5]])
+def test_howard_potentials_are_feasible(els):
+    # y(v) <= y(u) + q*w(v) - p on every edge, tight on a cycle of mean mu,
+    # and t is the packed transform of y, as the prune reads it
+    g = build_state_graph(GeneratorSet(els))
+    t = np.empty(g.n_states, dtype=np.int64)
+    mu, y = stategraph._howard(g, t, stategraph._transform_plan(t, g.c))
+    assert mu == karp_min_mean(g)
+    wq = mu.denominator * g.weights - mu.numerator
+    slack = {(u, v): int(y[u] + wq[v] - y[v]) for u in states(g) for v in successors(g, u)}
+    assert min(slack.values()) == 0
+    _, cycle = min_mean_cycle(g)
+    assert all(slack[u, v] == 0 for u, v in zip(cycle, cycle[1:] + cycle[:1]))
+    raw = np.full(g.n_states, stategraph._INF, dtype=np.int64)
+    np.minimum.at(raw, g.uncovered, (y << g.c) | np.arange(g.n_states))
+    assert np.array_equal(t, submask_min_naive(raw))
+
+
+def _naive_policy_evaluation(pred, weights):
+    """(mu, y) or (None, rank) as _evaluate_policy defines them, by walking
+    each state's pointers."""
+    n = len(pred)
+    reach = []
+    for v in range(n):
+        path, seen = [v], {v: 0}
+        while (u := int(pred[path[-1]])) not in seen:
+            seen[u] = len(path)
+            path.append(u)
+        cycle = path[seen[u]:]
+        reach.append((path[:path.index(min(cycle))], min(cycle), cycle))
+    means = [Fraction(int(weights[cyc].sum()), len(cyc)) for *_, cyc in reach]
+    if len(set(means)) > 1:
+        rank = sorted(set(means))
+        return None, [rank.index(m) for m in means]
+    mu = means[0]
+    wq = [mu.denominator * int(w) - mu.numerator for w in weights]
+    return mu, [sum(wq[x] for x in path) for path, *_ in reach]
+
+
+def test_evaluate_policy_matches_naive_walk():
+    rng = np.random.default_rng(2812)
+    uniform = 0
+    for _ in range(300):
+        n = int(rng.integers(1, 60))
+        pred = rng.integers(0, n, n)
+        if rng.random() < 0.3:
+            pred = np.minimum(np.arange(n) + 1, n - 1)  # one chain into a self-loop
+            pred[rng.random(n) < 0.05] = 0
+        weights = rng.integers(0, 2, n) if rng.random() < 0.5 else np.zeros(n, dtype=np.int64)
+        scratch = [np.empty(n, dtype=np.int64) for _ in range(2)]
+        mu, val = stategraph._evaluate_policy(pred, weights, *scratch)
+        want_mu, want = _naive_policy_evaluation(pred, weights)
+        assert mu == want_mu and val.tolist() == want
+        uniform += mu is not None
+    assert 50 < uniform < 250, uniform  # both outcomes are exercised
+
+
+@pytest.mark.parametrize("c", range(1, 17))
+def test_full_state_is_a_hub(c):
+    # what Howard's dispatch checks: the full state has an edge to and from
+    # every state, on every graph build_state_graph makes
+    sets = [[c], [-c]] + [[a, a - c] for a in range(1, c)]
+    sets += [[1, 2, c], [-1, -2, -c], [-1, 1, c - 1]] if c >= 3 else []
+    for els in sets:
+        g = build_state_graph(GeneratorSet(els), c_max=16)
+        assert g.c == c
+        assert g.uncovered[-1] == 0 and g.covers[-1] == g.n_states - 1
+
+
+def test_doctored_fixtures_take_threshold_tests(monkeypatch):
+    # neither fixture's full state is a hub, so both keep the threshold tests
+    howard = _count_calls(monkeypatch, "_howard")
+    tests = _count_calls(monkeypatch, "_test_threshold")
+    assert min_mean_cycle(_self_loop_graph()) == (Fraction(2), (3,))
+    uncovered = np.full(4, 3, dtype=np.int64)
+    covers = np.zeros(4, dtype=np.int64)
+    weights = np.array([0, 1, 1, 2], dtype=np.int64)
+    with pytest.raises(InputError):
+        min_mean_cycle(StateGraph(2, uncovered, covers, weights))
+    assert not howard and tests
+
+
+def test_howard_fault_raises_on_stuck_means(monkeypatch):
+    # an evaluation whose means differ though no state has a predecessor of
+    # lower rank cannot happen on a hub graph; it must not loop or answer
+    monkeypatch.setattr(stategraph, "_evaluate_policy",
+                        lambda pred, *_: (None, np.zeros(len(pred), dtype=np.int64)))
+    with pytest.raises(AssertionError, match="no state has a predecessor of lower mean"):
+        min_mean_cycle(build_state_graph(GeneratorSet([1, 2])))
+
+
+def test_howard_fault_raises_past_iteration_bound(monkeypatch):
+    # an evaluation that never takes in the switches: y stays 0 at mu = 2,
+    # so every state lighter than 2 switches again in every round
+    monkeypatch.setattr(stategraph, "_evaluate_policy",
+                        lambda pred, *_: (Fraction(2), np.zeros(len(pred), dtype=np.int64)))
+    with pytest.raises(AssertionError, match="passed 5 iterations"):
+        min_mean_cycle(build_state_graph(GeneratorSet([1, 2])))
+
+
+def test_howard_faults_survive_optimize_flag():
+    # the two tests above, rerun with asserts stripped
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = subprocess.run([sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          "tests/test_stategraph.py", "-k", "howard_fault_raises"],
+                         cwd=root, env=env, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0 and "2 passed" in out.stdout, out.stdout + out.stderr
+
+
 def _scan(pred, weights):
     pred = np.asarray(pred, dtype=np.int64)
     scratch = [np.empty(len(pred), dtype=np.int64) for _ in range(2)]
@@ -329,16 +535,15 @@ def test_seeded_threshold_self_loop_fixture():
     _assert_seeded_matches_unseeded(g)
 
 
-# the sparse-tail switch as (_SPARSE_MIN_STATES, _SPARSE_SHARE): as shipped,
-# every round after the first, and never
-_TAIL_DEFAULT = (stategraph._SPARSE_MIN_STATES, stategraph._SPARSE_SHARE)
-_TAIL_FORCED = (1, 0)
-_TAIL_OFF = (1 << 62, 1)
+# the sparse-tail switch as _SPARSE_SHARE: as shipped, every round after the
+# first, and never (a round improves at least one state)
+_TAIL_DEFAULT = stategraph._SPARSE_SHARE
+_TAIL_FORCED = 0
+_TAIL_OFF = 1 << 32  # above every n the tests use, with no int64 overflow
 
 
-def _set_tail(monkeypatch, rule):
-    monkeypatch.setattr(stategraph, "_SPARSE_MIN_STATES", rule[0])
-    monkeypatch.setattr(stategraph, "_SPARSE_SHARE", rule[1])
+def _set_tail(monkeypatch, share):
+    monkeypatch.setattr(stategraph, "_SPARSE_SHARE", share)
 
 
 def _count_sparse_rounds(monkeypatch):
