@@ -37,9 +37,9 @@ predecessor.  Its cycles are labelled by pointer doubling, and pointer
 jumping to a root on each cycle gives every state its cycle's mean and a
 potential; one transform per iteration switches states to better
 predecessors, until a round switches none and the potentials are feasible.
-This rests on a hub.  The full state, all of [1, c], dominates its whole
-window, positions above c through step a, and its shifted copy dominates
-it too, positions up to c through step -b: uncovered(full) is empty and
+This rests on a hub.  The full state [1, c] dominates its whole window
+(the positions above c by step a), and so does its copy shifted right by c
+(the positions up to c by step -b): uncovered(full) is empty and
 covers(full) is everything, so the full state has an edge to and from
 every state.  The graph is then strongly connected: while the policy
 cycles' means differ, some state has a predecessor of lower mean.
@@ -315,13 +315,14 @@ _INF = np.int64(1) << np.int64(61)
 # tests: {1,16}, {1,17}, {1,18} took 24, 31, 76 ms against 25, 15, 55 ms, its
 # pointer jumping running over all 2^c states and its tight subgraph larger;
 # six random 3-element sets at c = 15..17 took 0.19-1.29 times as long, median
-# 0.73.  In one run each of a scratch copy, {-19,3} at c = 22 took 3.24 s
-# against 3.81 s and {1,21} 1.13 s against 0.73 s.  A threshold round is
-# sparse (see _test_threshold) when the masks of the states the last round
-# improved have fewer than n / _SPARSE_SHARE supermasks in all.  A sparse
-# round makes some 10c small numpy calls whatever n is, and wins from c = 14
-# on (6 ms a round at c = 18).  The share caps the supermasks a sparse round
-# can enumerate; any share from 1 to 64 timed the same on the c = 16..18 sets.
+# 0.73.  A scratch prototype of the same method took 3.24 s against 3.81 s
+# on {-19,3} at c = 22, and 1.13 s against 0.73 s on {1,21}, one run each.
+# A threshold round is sparse (see _test_threshold) when the masks of the
+# states the last round improved have fewer than n / _SPARSE_SHARE
+# supermasks in all.  A sparse round makes some 10c small numpy calls
+# whatever n is, and wins from c = 14 on (6 ms a round at c = 18).  The
+# share caps the supermasks a sparse round can enumerate; any share from 1
+# to 64 timed the same on the c = 16..18 sets.
 _SPARSE_MIN_STATES = 1 << 14
 _SPARSE_SHARE = 8
 
@@ -615,7 +616,7 @@ def _howard(g: StateGraph, t: np.ndarray, plan: tuple[bool, list]) -> tuple[Frac
     the mean of a cycle, so mu is the minimum.  The hub has an edge to and
     from every state, so the graph is strongly connected: while the means
     differ, an edge leaves the states of the least one, and the mean round
-    switches its head.  No polynomial bound on the number of iterations is
+    switches the state it enters.  No polynomial bound on the number of iterations is
     known; 1446 graphs with c <= 13, reduced or not, took at most 24, and
     at most 12 at c <= 8, so passing n + 1 is taken for a fault.
     """
@@ -643,16 +644,14 @@ def _howard(g: StateGraph, t: np.ndarray, plan: tuple[bool, list]) -> tuple[Frac
     for _ in range(n + 1):
         mu, val = _evaluate_policy(pred, weights, nxt, pos)
         key = lowest(val) >> c
-        if mu is None:
-            better = key < val
-            if not better.any():  # not an assert: it must hold under python -O
+        if mu is not None:
+            key += np.int64(mu.denominator) * weights - np.int64(mu.numerator)
+        better = key < val
+        if not better.any():
+            if mu is None:  # not an assert: it must hold under python -O
                 raise AssertionError("policy cycle means differ, but no state has a "
                                      "predecessor of lower mean")
-        else:
-            key += np.int64(mu.denominator) * weights - np.int64(mu.numerator)
-            better = key < val
-            if not better.any():
-                return mu, val
+            return mu, val
         np.copyto(pred, best & (n - 1), where=better)
     raise AssertionError(f"policy iteration passed {n + 1} iterations")
 

@@ -548,15 +548,7 @@ def _set_tail(monkeypatch, share):
 
 def _count_sparse_rounds(monkeypatch):
     """The sparse threshold rounds run from now on, one entry each."""
-    rounds = []
-    lower = stategraph._lower_supermasks
-
-    def counted(*args):
-        rounds.append(1)
-        return lower(*args)
-
-    monkeypatch.setattr(stategraph, "_lower_supermasks", counted)
-    return rounds
+    return _count_calls(monkeypatch, "_lower_supermasks")
 
 
 @pytest.fixture
@@ -740,15 +732,7 @@ def test_sparse_tail_converges_in_sparse_round(monkeypatch, sparse_rounds):
 
 def _count_transforms(monkeypatch):
     """A list that gains an entry at every _subset_transform call."""
-    calls = []
-    transform = stategraph._subset_transform
-
-    def counted(*args):
-        calls.append(1)
-        return transform(*args)
-
-    monkeypatch.setattr(stategraph, "_subset_transform", counted)
-    return calls
+    return _count_calls(monkeypatch, "_subset_transform")
 
 
 def test_sparse_tail_transform_count(monkeypatch):
@@ -764,17 +748,10 @@ def test_sparse_tail_transform_count(monkeypatch):
 
 @pytest.mark.parametrize("els", [[1, -2], [2, -5, 7], [-7, -6, 5], [1, 16]])
 def test_two_transform_plans_per_solve(monkeypatch, els):
-    # every threshold test and the prune run the two plans min_mean_cycle
-    # builds, one on its buffer and one on its reversal; {-7,-6,5} runs 6
-    # threshold tests, and {1,16} a sparse tail
-    built = []
-    plan = stategraph._transform_plan
-
-    def counted(*args):
-        built.append(1)
-        return plan(*args)
-
-    monkeypatch.setattr(stategraph, "_transform_plan", counted)
+    # every policy iteration or threshold test and the prune run the two
+    # plans min_mean_cycle builds, one on its buffer and one on its
+    # reversal; {-7,-6,5} (c = 12) runs Howard, {1,16} a sparse tail
+    built = _count_calls(monkeypatch, "_transform_plan")
     min_mean_cycle(build_state_graph(GeneratorSet(els), c_max=16))
     assert len(built) == 2
 
