@@ -312,8 +312,8 @@ _INF = np.int64(1) << np.int64(61)
 # min_mean_cycle runs Howard's policy iteration (_howard) on hub graphs of
 # fewer than _SPARSE_MIN_STATES states, and threshold tests on the rest.  Best
 # of 5 in-process runs each (2 vCPU, numpy 2.4), Howard against the threshold
-# tests: {1,16}, {1,17}, {1,18} took 24, 31, 76 ms against 25, 15, 55 ms, its
-# pointer jumping running over all 2^c states and its tight subgraph larger;
+# tests: {1,16}, {1,17}, {1,18} took 24, 31, 76 ms against 25, 15, 55 ms,
+# most of the loss its pointer jumping over all 2^c states at each iteration;
 # six random 3-element sets at c = 15..17 took 0.19-1.29 times as long, median
 # 0.73.  A scratch prototype of the same method took 3.24 s against 3.81 s
 # on {-19,3} at c = 22, and 1.13 s against 0.73 s on {1,21}, one run each.
