@@ -11,7 +11,9 @@ The family is every set of 1-2 elements from +-16 with c <= 16, every set of
 family).  For each set the file holds the domination ratio, the witness's
 period, the SHA-256 of the canonical cycle (its states in decimal, joined by
 commas), and whether a perfect witness exists, with its period.  --check
-also prints the 10 slowest sets of this run.
+also prints the 10 slowest sets of this run, the slowest set at each
+reduced c' = c / gcd(S) (the width of the graph the engine solves), and
+every set that took more than a second.
 
 domrat is imported from src/ next to this directory; nothing under src/ is
 changed or wrapped.
@@ -22,6 +24,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from itertools import combinations
@@ -75,8 +78,17 @@ def write(answers: dict[str, dict]) -> None:
 
 def check(answers: dict[str, dict], seconds: dict[str, float]) -> int:
     want = json.loads(ANSWERS_PATH.read_text())
-    slowest = sorted(seconds, key=seconds.get, reverse=True)[:10]
-    print("slowest:", ", ".join(f"{k} {seconds[k]:.3f} s" for k in slowest))
+    ranked = sorted(seconds, key=seconds.get, reverse=True)
+    print("slowest:", ", ".join(f"{k} {seconds[k]:.3f} s" for k in ranked[:10]))
+    width = {str(s): s.c // math.gcd(*s) for s in family()}  # c' of the solved graph
+    by_width: dict[int, list[str]] = {}
+    for key in ranked:
+        by_width.setdefault(width[key], []).append(key)
+    for c, keys in sorted(by_width.items()):
+        print(f"c' = {c}: {len(keys)} sets in {sum(map(seconds.get, keys)):.3f} s,"
+              f" slowest {keys[0]} {seconds[keys[0]]:.3f} s")
+    slow = [f"{k} {seconds[k]:.3f} s" for k in ranked if seconds[k] > 1]
+    print("above 1 s:", ", ".join(slow) or "none")
     print(f"{len(answers)} sets in {sum(seconds.values()):.1f} s")
     for key in [*answers, *(k for k in want if k not in answers)]:
         if answers.get(key) != want.get(key):

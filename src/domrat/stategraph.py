@@ -33,10 +33,13 @@ least value over a state's predecessors and its argmin.
 
 Below 2^14 states mu is found by Howard's policy iteration (Cochet-Terrasson
 et al. 1998; Dasdan 2004; see _howard).  A policy gives each state one
-predecessor.  Its cycles are labelled by pointer doubling, and pointer
-jumping to a root on each cycle gives every state its cycle's mean and a
-potential; one transform per iteration switches states to better
-predecessors, until a round switches none and the potentials are feasible.
+predecessor.  One pointer-doubling pass over all states finds the policy's
+cycle nodes (the image of the pointer map once squaring stops shrinking
+it) and each state's window weight (the sum along its next 2^k pointers);
+the few cycle nodes are walked in Python for each cycle's root, mean and
+potentials, and one gather spreads them to every state.  One transform per
+iteration then switches states to better predecessors, until a round
+switches none and the potentials are feasible.
 This rests on a hub.  The full state [1, c] dominates its whole window
 (the positions above c by step a), and so does its copy shifted right by c
 (the positions up to c by step -b): uncovered(full) is empty and
@@ -50,12 +53,15 @@ subtracting p from q-scaled weights makes cycles below mu negative, and a
 vectorized Bellman-Ford pass either certifies none exist or yields a
 strictly better cycle from its predecessor pointers.  Those pointer cycles,
 like the policy's, are the states left once the image of the pointer map
-stops shrinking under squaring, at a cost that follows that image, not
-2^c.  Each test after the first starts its values on the cycle the previous
-test found, not at zero: that reaches the same fixpoint, often in far fewer
-rounds.  Once a round improves only a few states, later rounds keep the
-transform and lower it just at the supermasks of those states' masks,
-re-evaluating only the states whose predecessor minimum fell.
+stops shrinking under squaring; but the scan squares the map on that image
+alone, at a cost that follows it, not 2^c, and labels the cycles by
+pointer doubling among their nodes, thousands of them at c = 16..18 where
+a walk in Python would cost milliseconds.  Each test after the first starts
+its values on the cycle the previous test found, not at zero: that reaches
+the same fixpoint, often in far fewer rounds.  Once a round improves only a
+few states, later rounds keep the transform and lower it just at the
+supermasks of those states' masks, re-evaluating only the states whose
+predecessor minimum fell.
 
 The transform runs bit by bit, each pass one ufunc call on views of one
 buffer that are made once per solve, since on small graphs making them
@@ -312,10 +318,12 @@ _INF = np.int64(1) << np.int64(61)
 # min_mean_cycle runs Howard's policy iteration (_howard) on hub graphs of
 # fewer than _SPARSE_MIN_STATES states, and threshold tests on the rest.  Best
 # of 5 in-process runs each (2 vCPU, numpy 2.4), Howard against the threshold
-# tests: {1,16}, {1,17}, {1,18} took 24, 31, 76 ms against 25, 15, 55 ms,
-# most of the loss its pointer jumping over all 2^c states at each iteration;
-# six random 3-element sets at c = 15..17 took 0.19-1.29 times as long, median
-# 0.73.  A scratch prototype of the same method took 3.24 s against 3.81 s
+# tests: {1,16}, {1,17}, {1,18} took 24, 40, 107 ms against 19, 14, 52 ms.
+# Policy evaluation was 14, 24 and 65 ms of that, most of it on the first
+# policy, whose 6107, 10717 and 18807 cycle nodes _evaluate_policy walks in
+# Python (15-35 ms), the rest its doubling over all 2^c states.  Six random
+# 3-element sets at c = 15..17, {3,15,17} among them, took 0.17-1.29 times as
+# long, median 0.60.  A scratch prototype of the same method took 3.24 s against 3.81 s
 # on {-19,3} at c = 22, and 1.13 s against 0.73 s on {1,21}, one run each.
 # A threshold round is sparse (see _test_threshold) when the masks of the
 # states the last round improved have fewer than n / _SPARSE_SHARE
@@ -372,31 +380,6 @@ def _orbit(f: np.ndarray, v: int) -> list[int]:
     return cycle
 
 
-def _label_cycles(f: np.ndarray, weights: np.ndarray, nxt: np.ndarray,
-                  pos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The cycles of the pointer map f (f[v] == -1: none), each as its
-    smallest node, ascending, with its length and total weight.
-
-    Pointer doubling among the cycle nodes (_pointer_cycle_nodes) labels
-    each cycle by its smallest node until a doubling lowers none; nxt and
-    pos are scratch.
-    """
-    d = _pointer_cycle_nodes(f, nxt, pos)
-    m = d.size
-    lo = np.arange(m)
-    pos[d] = lo
-    step = pos[f[d]]
-    while not np.array_equal(lower := np.minimum(lo, lo[step]), lo):
-        lo, step = lower, step[step]
-
-    # length and total weight of each cycle, at its label
-    length = np.bincount(lo, minlength=m)
-    heads = np.flatnonzero(length)  # ascending, as their smallest nodes
-    total = np.zeros(m, dtype=np.int64)
-    np.add.at(total, lo, weights[d])
-    return d[heads], length[heads], total[heads]
-
-
 def _scan_pred_cycles(pred: np.ndarray, weights: np.ndarray,
                       nxt: np.ndarray, pos: np.ndarray) -> tuple[Fraction, int] | None:
     """Smallest mean among the predecessor-pointer cycles, with the smallest
@@ -406,12 +389,28 @@ def _scan_pred_cycles(pred: np.ndarray, weights: np.ndarray,
     Predecessor edges are real graph edges, so any pointer cycle is a real
     cycle; pointers are only (re)assigned on strict improvement, which makes
     every pointer cycle strictly negative for the current threshold, so
-    every mean found is below it (_test_threshold checks that).  The cycles
-    come from _label_cycles; nxt and pos are scratch.
+    every mean found is below it (_test_threshold checks that).
+
+    The cycle nodes come from _pointer_cycle_nodes; pointer doubling among
+    them then labels each cycle by its smallest node, until a doubling
+    lowers no label.  nxt and pos are scratch.
     """
-    heads, length, total = _label_cycles(pred, weights, nxt, pos)
-    if not heads.size:
+    d = _pointer_cycle_nodes(pred, nxt, pos)
+    if not d.size:
         return None  # every walk ends at a node without a pointer
+    m = d.size
+    lo = np.arange(m)
+    pos[d] = lo
+    step = pos[pred[d]]
+    while not np.array_equal(lower := np.minimum(lo, lo[step]), lo):
+        lo, step = lower, step[step]
+
+    # length and total weight of each cycle, at its label
+    length = np.bincount(lo, minlength=m)
+    heads = np.flatnonzero(length)  # ascending, as their smallest nodes
+    total = np.zeros(m, dtype=np.int64)
+    np.add.at(total, lo, weights[d])
+    heads, length, total = d[heads], length[heads], total[heads]
 
     # smallest total per cycle length; disjoint cycles have fewer than
     # sqrt(2m) distinct lengths, m the cycle nodes, so few Fractions are built
@@ -556,7 +555,7 @@ def _test_threshold(g: StateGraph, t: np.ndarray, plan: tuple[bool, list],
     raise AssertionError("unreachable")
 
 
-def _evaluate_policy(pred: np.ndarray, weights: np.ndarray, nxt: np.ndarray,
+def _evaluate_policy(pred: np.ndarray, weights: np.ndarray,
                      pos: np.ndarray) -> tuple[Fraction | None, np.ndarray]:
     """Each state's cycle under the predecessor policy pred: (mu, y) when
     every policy cycle has mean mu = p/q, else (None, rank).
@@ -566,28 +565,73 @@ def _evaluate_policy(pred: np.ndarray, weights: np.ndarray, nxt: np.ndarray,
     from that cycle's root, its smallest node, to v, each step into a state
     x weighing q*w(x) - p: y is 0 at the root and y(v) = y(pred(v)) +
     q*w(v) - p at every other state, also around the cycle, whose steps
-    sum to 0.  Both follow the pointers to the root by pointer jumping,
-    with each root pointing at itself.  nxt and pos are scratch (see
-    _label_cycles).
+    sum to 0.
+
+    After k rounds of pointer doubling, anc = pred^(2^k) and window(v) is
+    the weight of v, pred(v), ..., pred^(2^k - 1)(v), the first 2^k states
+    of v's walk: a round adds window(anc(v)), the 2^k after those, to
+    window(v) before it squares anc.  Unrolling the recurrence over those
+    2^k steps gives the window-sum identity
+
+        y(v) = q*window(v) - p*2^k + y(anc(v)).
+
+    The loop also keeps D, the image of anc: the image of pred^(2^(k+1)) is
+    anc[D], a subset of D.  A round that finds anc[D] == D stops, since anc
+    then maps D onto itself, so permutes it: every node of D is on a cycle,
+    and every cycle node is in every image, so D is exactly the cycle nodes
+    and each anc(v) lies on a cycle.  Those m nodes are few below 2^14
+    states (a median 8 on the ratio_swarm sets, 1130 in {1,13}'s first
+    policy), so a Python walk over them in ascending order meets each
+    cycle first at its root, and gives each cycle's length and weight and
+    each cycle node's y (or rank); one gather through anc spreads them to
+    every state.  pos is int64 scratch of length n, overwritten.
     """
-    roots, length, total = _label_cycles(pred, weights, nxt, pos)
-    uniform = bool((total * length[0] == total[0] * length).all())
-    np.copyto(nxt, pred)
-    anc = nxt
-    anc[roots] = roots
-    if uniform:
-        mu = Fraction(int(total[0]), int(length[0]))
-        y = np.int64(mu.denominator) * weights - np.int64(mu.numerator)
-        y[roots] = 0
-    while not np.array_equal(up := anc[anc], anc):
-        if uniform:
-            y += y[anc]
-        anc = up
-    if uniform:
+    n = pred.shape[0]
+    mark = pos.view(np.bool_)[:n]  # n of its 8n bytes
+    mark.fill(False)
+    mark[pred] = True  # every state has a predecessor: no sinks
+    d = np.flatnonzero(mark)
+    anc, window, span = pred, weights, 1
+    while True:
+        mark[d] = False
+        mark[anc[d]] = True
+        shrunk = d[mark[d]]
+        if shrunk.size == d.size:
+            break
+        d = shrunk
+        window = window + window[anc]
+        anc = anc[anc]
+        span <<= 1
+
+    # the cycles, each walked from its root along the pointers: node
+    # pred^j(root) has y = -(q*w - p summed over the j nodes before it)
+    back = dict(zip(d.tolist(), zip(pred[d].tolist(), weights[d].tolist())))
+    nodes, steps, sums, cycles = [], [], [], []
+    for root in d.tolist():
+        if root not in back:
+            continue  # on an earlier cycle
+        v, j, s = root, 0, 0
+        while True:
+            u, w = back.pop(v)
+            nodes.append(v)
+            steps.append(j)
+            sums.append(s)
+            j, s = j + 1, s + w
+            if u == root:
+                break
+            v = u
+        cycles.append((j, s))
+    length, total = cycles[0]
+    if all(t * length == total * k for k, t in cycles):
+        mu = Fraction(total, length)
+        p, q = mu.numerator, mu.denominator
+        pos[nodes] = [p * (j - span) - q * s for j, s in zip(steps, sums)]  # y - p*2^k
+        y = np.int64(q) * window
+        y += pos[anc]
         return mu, y
-    means = [Fraction(w, k) for w, k in zip(total.tolist(), length.tolist())]
+    means = [Fraction(t, k) for k, t in cycles]
     rank = {m: r for r, m in enumerate(sorted(set(means)))}
-    pos[roots] = [rank[m] for m in means]
+    pos[nodes] = [rank[m] for m, (k, t) in zip(means, cycles) for _ in range(k)]
     return None, pos[anc]
 
 
@@ -623,7 +667,7 @@ def _howard(g: StateGraph, t: np.ndarray, plan: tuple[bool, list]) -> tuple[Frac
     uncovered, covers, weights, c, n = g.uncovered, g.covers, g.weights, g.c, g.n_states
     idx = np.arange(n, dtype=np.int64)
     best = np.empty(n, dtype=np.int64)
-    nxt, pos = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    pos = np.empty(n, dtype=np.int64)
 
     def lowest(val: np.ndarray) -> np.ndarray:
         # best[v]: the least val(u) << c | u over the predecessors u of v; the
@@ -642,7 +686,7 @@ def _howard(g: StateGraph, t: np.ndarray, plan: tuple[bool, list]) -> tuple[Frac
 
     pred = lowest(np.zeros(n, dtype=np.int64)) & (n - 1)
     for _ in range(n + 1):
-        mu, val = _evaluate_policy(pred, weights, nxt, pos)
+        mu, val = _evaluate_policy(pred, weights, pos)
         key = lowest(val) >> c
         if mu is not None:
             key += np.int64(mu.denominator) * weights - np.int64(mu.numerator)

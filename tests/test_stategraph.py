@@ -264,26 +264,55 @@ def test_howard_potentials_are_feasible(els):
 
 def _naive_policy_evaluation(pred, weights):
     """(mu, y) or (None, rank) as _evaluate_policy defines them, by walking
-    each state's pointers."""
+    each state's pointers until they reach a state already placed or close
+    a cycle, then summing y(v) = y(pred(v)) + q*w(v) - p down each walk."""
+    pred, weights = [int(u) for u in pred], [int(w) for w in weights]
     n = len(pred)
-    reach = []
-    for v in range(n):
-        path, seen = [v], {v: 0}
-        while (u := int(pred[path[-1]])) not in seen:
-            seen[u] = len(path)
-            path.append(u)
-        cycle = path[seen[u]:]
-        reach.append((path[:path.index(min(cycle))], min(cycle), cycle))
-    means = [Fraction(int(weights[cyc].sum()), len(cyc)) for *_, cyc in reach]
+    cycle_of, cycles, walks = [None] * n, [], []
+    for start in range(n):
+        walk, on_walk, v = [], set(), start
+        while cycle_of[v] is None and v not in on_walk:
+            walk.append(v)
+            on_walk.add(v)
+            v = pred[v]
+        if cycle_of[v] is None:  # the walk closed a new cycle at v
+            cycles.append(walk[walk.index(v):])
+        k = len(cycles) - 1 if cycle_of[v] is None else cycle_of[v]
+        for u in walk:
+            cycle_of[u] = k
+        walks.append(walk)
+    means = [Fraction(sum(weights[u] for u in cyc), len(cyc)) for cyc in cycles]
     if len(set(means)) > 1:
-        rank = sorted(set(means))
-        return None, [rank.index(m) for m in means]
+        rank = {m: r for r, m in enumerate(sorted(set(means)))}
+        return None, [rank[means[cycle_of[v]]] for v in range(n)]
     mu = means[0]
-    wq = [mu.denominator * int(w) - mu.numerator for w in weights]
-    return mu, [sum(wq[x] for x in path) for path, *_ in reach]
+    wq = [mu.denominator * w - mu.numerator for w in weights]
+    y = [None] * n
+    for cyc in cycles:
+        # cyc[i + 1] == pred[cyc[i]]; from the root, its smallest node, each
+        # step along the pointers, u to pred(u), takes wq(u) off y
+        root = cyc.index(min(cyc))
+        cyc = cyc[root:] + cyc[:root]
+        y[cyc[0]] = 0
+        for u, back in zip(cyc, cyc[1:]):
+            y[back] = y[u] - wq[u]
+    for walk in walks:
+        for u in reversed(walk):  # every walk ends on a cycle or a placed state
+            if y[u] is None:
+                y[u] = y[pred[u]] + wq[u]
+    return mu, y
 
 
-def test_evaluate_policy_matches_naive_walk():
+def _check_evaluation(pred, weights):
+    """_evaluate_policy against the naive walk; True when the means are uniform."""
+    pred, weights = np.asarray(pred, dtype=np.int64), np.asarray(weights, dtype=np.int64)
+    mu, val = stategraph._evaluate_policy(pred, weights, np.empty(len(pred), dtype=np.int64))
+    want_mu, want = _naive_policy_evaluation(pred, weights)
+    assert mu == want_mu and val.tolist() == want
+    return mu is not None
+
+
+def test_evaluate_policy_matches_naive_walk(monkeypatch):
     rng = np.random.default_rng(2812)
     uniform = 0
     for _ in range(300):
@@ -293,12 +322,40 @@ def test_evaluate_policy_matches_naive_walk():
             pred = np.minimum(np.arange(n) + 1, n - 1)  # one chain into a self-loop
             pred[rng.random(n) < 0.05] = 0
         weights = rng.integers(0, 2, n) if rng.random() < 0.5 else np.zeros(n, dtype=np.int64)
-        scratch = [np.empty(n, dtype=np.int64) for _ in range(2)]
-        mu, val = stategraph._evaluate_policy(pred, weights, *scratch)
-        want_mu, want = _naive_policy_evaluation(pred, weights)
-        assert mu == want_mu and val.tolist() == want
-        uniform += mu is not None
+        uniform += _check_evaluation(pred, weights)
     assert 50 < uniform < 250, uniform  # both outcomes are exercised
+
+    # permutations: every state is on a cycle, and there are many cycles
+    uniform = 0
+    for _ in range(100):
+        n = int(rng.integers(1, 60))
+        weights = rng.integers(0, 3, n) if rng.random() < 0.7 else np.ones(n, dtype=np.int64)
+        uniform += _check_evaluation(rng.permutation(n), weights)
+    assert 20 < uniform < 80, uniform
+
+    # a chain of more than 64 states into a cycle of 2 or more: the doubling
+    # runs at least 7 rounds, and its windows wrap the cycle
+    for _ in range(30):
+        length, tail = int(rng.integers(2, 12)), int(rng.integers(65, 200))
+        n = length + tail
+        ahead = [i + 1 for i in range(n - 1)] + [tail]  # 0 -> 1 -> ... -> n-1 -> tail
+        label = rng.permutation(n)
+        pred = np.empty(n, dtype=np.int64)
+        pred[label] = label[ahead]  # the same pointers on relabelled states
+        _check_evaluation(pred, rng.integers(0, 3, n))
+
+    # every policy Howard evaluates, on S's own graph: the first policy of
+    # {1,13} has 1130 cycle nodes; {2,8,12} has gcd 2, so many tied cycles
+    policies = []
+    evaluate = stategraph._evaluate_policy
+    monkeypatch.setattr(stategraph, "_evaluate_policy", lambda pred, weights, *scratch: (
+        policies.append((pred.copy(), weights)) or evaluate(pred, weights, *scratch)))
+    for els in ([1, 13], [-2, 11], [2, 8, 12]):
+        min_mean_cycle(build_state_graph(GeneratorSet(els)))
+    monkeypatch.undo()
+    assert len(policies) == 7 + 4 + 9
+    for pred, weights in policies:
+        _check_evaluation(pred, weights)
 
 
 @pytest.mark.parametrize("c", range(1, 17))
