@@ -289,9 +289,7 @@ def domination_number(inst: CirculantInstance,
         witness.append(v)
         uncovered &= ~cover[v]
         budget -= 1
-    if len(witness) != gamma or not is_dominating(inst, witness):
-        raise CertificateError(
-            f"witness {witness} of Z_{n} does not dominate with {gamma} vertices")
+    _check_cover(inst, witness, gamma)  # strictly increasing: no vertex repeats
     return gamma, tuple(witness)
 
 

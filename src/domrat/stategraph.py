@@ -65,8 +65,9 @@ predecessor minimum fell.
 
 The transform runs bit by bit, each pass one ufunc call on views of one
 buffer that are made once per solve, since on small graphs making them
-cost half as much as the calls; on large arrays it runs with a small ufunc
-buffer, its low bits block by cache-sized block (see _subset_transform).
+cost half as much as the calls.  The whole solve runs with a small ufunc
+buffer, and on large arrays the low bits run block by cache-sized block
+(see _subset_transform).
 The canonical cycle is read off the tight edges of the final potentials: a
 prune by subset transforms (finished on explicit edges once few pairs are
 left) keeps the states on tight cycles, its first predecessor test read
@@ -235,37 +236,36 @@ def build_state_graph(s: GeneratorSet, c_max: int = DEFAULT_C_MAX) -> StateGraph
 # minimum mean cycle
 
 
-# _subset_transform at c >= _UNBUFFERED_MIN_C runs its bit passes with a
-# ufunc buffer of _BUFSIZE entries, and bits below _BLOCK_BITS block by block
-# of 2^_BLOCK_BITS entries (1 MB).  Best of 6-400 interleaved runs on a
+# min_mean_cycle sets numpy's ufunc buffer to _BUFSIZE entries once for the
+# whole solve, and _subset_transform runs bits below _BLOCK_BITS block by
+# block of 2^_BLOCK_BITS entries (1 MB).  Best of 6-400 interleaved runs on a
 # 2-core x86-64 machine, numpy 2.4: at c = 13, 14, 16, 18, 20 and 22 the
-# transform took 146, 185, 554 us, 2.77, 15.3 and 67.6 ms as the plain loop
-# and 116, 113, 371 us, 1.56, 7.31 and 36.1 ms so.  At c = 12 it took 79
-# against 81-86 us, as close as two runs of the plain loop came, so small
-# graphs keep the plain loop and skip the 3 us of entering np.errstate.
-# Blocks of 2^16 were 6-8% slower than 2^17 at c = 18..22, of 2^18 5-27%
-# and of 2^12 twice as slow; buffers of 128 to 512 entries were within 5%
-# of one another, 1024 3-10% slower and numpy's default 8192 27-41%.
-_UNBUFFERED_MIN_C = 13
+# transform took 146, 185, 554 us, 2.77, 15.3 and 67.6 ms with the default
+# buffer and one pass per bit over the whole array, and 116, 113, 371 us,
+# 1.56, 7.31 and 36.1 ms so.  Blocks of 2^16 were 6-8% slower than 2^17 at
+# c = 18..22, of 2^18 5-27% and of 2^12 twice as slow; buffers of 128 to 512
+# entries were within 5% of one another, 1024 3-10% slower and numpy's
+# default 8192 27-41%.
 _BLOCK_BITS = 17
 _BUFSIZE = 512
 
 
-def _transform_plan(t: np.ndarray, c: int) -> tuple[bool, list]:
+def _transform_plan(t: np.ndarray, c: int) -> list:
     """The passes of a subset transform of t, 2^c entries, built once.
 
-    A plan is (buffered, passes): each pass is (out, in, order), views of t
-    that _subset_transform hands a ufunc as is.  For supermasks build it on
-    t[::-1]: index m of the reversed view is the complement of m.  Bit i
-    combines each block of 2^i entries with the block below it, and the bits
-    can run in any order.  For 2-, 4- and 8-entry blocks the inner loop is
-    too short, so those bits run over the transposed view with C iteration
-    order, whose inner loops are the long strided columns; measured for
-    c = 1..18, that form was never slower.  From c = _UNBUFFERED_MIN_C on,
-    bits 0 .. _BLOCK_BITS-1 run block by block (see _subset_transform).
+    Each pass is (out, in, order), views of t that _subset_transform hands
+    a ufunc as is.  For supermasks build it on t[::-1]: index m of the
+    reversed view is the complement of m.  Bit i combines each block of 2^i
+    entries with the block below it, and the bits can run in any order.
+    For 2-, 4- and 8-entry blocks the inner loop is too short, so those bits
+    run over the transposed view with C iteration order, whose inner loops
+    are the long strided columns; measured for c = 1..18, that form was
+    never slower.  Bits 0 .. k-1, k = min(c, _BLOCK_BITS), run block by
+    block of 2^k entries and the higher bits over the whole of t: up to
+    c = _BLOCK_BITS that is one block, all of t (see _subset_transform).
     """
-    k = min(c, _BLOCK_BITS) if c >= _UNBUFFERED_MIN_C else 0
-    parts = [(block, range(k)) for block in t.reshape(-1, 1 << k)] if k else []
+    k = min(c, _BLOCK_BITS)
+    parts = [(block, range(k)) for block in t.reshape(-1, 1 << k)]
     passes = []
     for part, bits in parts + [(t, range(k, c))]:
         for i in bits:
@@ -276,10 +276,10 @@ def _transform_plan(t: np.ndarray, c: int) -> tuple[bool, list]:
             else:
                 tt = part.reshape(-1, 2, s)
                 passes.append((tt[:, 1, :], tt[:, 0, :], "K"))
-    return c >= _UNBUFFERED_MIN_C, passes
+    return passes
 
 
-def _subset_transform(plan: tuple[bool, list], ufunc: np.ufunc) -> None:
+def _subset_transform(plan: list, ufunc: np.ufunc) -> None:
     """In place on the plan's buffer t (see _transform_plan): t[m] becomes
     ufunc reduced over t at all submasks of m.
 
@@ -288,26 +288,18 @@ def _subset_transform(plan: tuple[bool, list], ufunc: np.ufunc) -> None:
     short ufunc call, and making its views afresh at every call cost about
     half as much again.
 
-    From c = _UNBUFFERED_MIN_C on, two things make the passes cheaper.
-    numpy buffers a ufunc's strided 2-D operands whose inner runs are short,
-    in chunks of 8192 entries by default, and that copying made bits 4-11
-    cost 2-5 times what a bit >= 12 costs at c = 18; a buffer of _BUFSIZE
-    entries, set inside np.errstate (which restores it on exit), takes most
-    of that away.  And an array of 2^18 entries or more does not fit the
-    per-core L2 cache, so bits 0 .. _BLOCK_BITS-1 run block by block over
-    2^_BLOCK_BITS entries, each block finished while it is cached, before
-    the higher bits run over the whole array.  Below that c the passes run
-    with no extra numpy call.
+    Two things make the passes cheaper on large arrays.  numpy buffers a
+    ufunc's strided 2-D operands whose inner runs are short, in chunks of
+    8192 entries by default, and that copying made bits 4-11 cost 2-5 times
+    what a bit >= 12 costs at c = 18; the buffer of _BUFSIZE entries that
+    min_mean_cycle sets for its whole solve takes most of that away.  And an
+    array of 2^18 entries or more does not fit the per-core L2 cache, so
+    bits 0 .. _BLOCK_BITS-1 run block by block over 2^_BLOCK_BITS entries,
+    each block finished while it is cached, before the higher bits run over
+    the whole array.
     """
-    buffered, passes = plan
-    if not buffered:
-        for out, other, order in passes:
-            ufunc(out, other, out=out, order=order)
-        return
-    with np.errstate():
-        np.setbufsize(_BUFSIZE)
-        for out, other, order in passes:
-            ufunc(out, other, out=out, order=order)
+    for out, other, order in plan:
+        ufunc(out, other, out=out, order=order)
 
 
 # Above every packed key.  Read as a key, it gives a state with no
@@ -318,12 +310,14 @@ _INF = np.int64(1) << np.int64(61)
 # min_mean_cycle runs Howard's policy iteration (_howard) on hub graphs of
 # fewer than _SPARSE_MIN_STATES states, and threshold tests on the rest.  Best
 # of 5 in-process runs each (2 vCPU, numpy 2.4), Howard against the threshold
-# tests: {1,16}, {1,17}, {1,18} took 24, 40, 107 ms against 19, 14, 52 ms.
-# Policy evaluation was 14, 24 and 65 ms of that, most of it on the first
-# policy, whose 6107, 10717 and 18807 cycle nodes _evaluate_policy walks in
-# Python (15-35 ms), the rest its doubling over all 2^c states.  Six random
-# 3-element sets at c = 15..17, {3,15,17} among them, took 0.17-1.29 times as
-# long, median 0.60.  A scratch prototype of the same method took 3.24 s against 3.81 s
+# tests: {1,16}, {1,17}, {1,18} took 18, 26, 67 ms against 18, 12, 50 ms,
+# and the 12 ratio_wide sets ({1,s} and {-1,-s}, c = 16..18) 1.53 times as
+# long in all (0.89-1.21 times at c = 16, 2.01-2.11 at 17, 1.29-1.98 at 18).
+# Policy evaluation was 8, 12 and 34 ms of the first three: 3, 4 and 12 ms
+# its doubling over all 2^c states, the rest mostly the Python walk over the
+# first policies' 6107-18807 cycle nodes.  Six random 3-element sets at
+# c = 15..17, {3,15,17} among them, took 0.19-1.36 times as long, median
+# 0.60.  A scratch prototype of the same method took 3.24 s against 3.81 s
 # on {-19,3} at c = 22, and 1.13 s against 0.73 s on {1,21}, one run each.
 # A threshold round is sparse (see _test_threshold) when the masks of the
 # states the last round improved have fewer than n / _SPARSE_SHARE
@@ -450,15 +444,34 @@ def _supermask_count(masks: np.ndarray, c: int) -> int:
     return int(np.left_shift(1, c - np.bitwise_count(masks).astype(np.int64)).sum())
 
 
-def _test_threshold(g: StateGraph, t: np.ndarray, plan: tuple[bool, list],
+def _least_preds(g: StateGraph, t: np.ndarray, plan: list, val: np.ndarray,
+                 idx: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[v]: the least packed key val(u) << c | u over the predecessors u
+    of v, _INF if v has none; t is left the transform of those keys.
+
+    One transform yields the least value and its argmin; n == 2^c, so the
+    state is the low c bits.  The caller checks that the keys cannot
+    overflow.  idx is arange(n).  This step sets the engine's peak memory,
+    hence packing in place and freeing the keys before the transform.
+    """
+    packed = val << g.c
+    packed |= idx
+    t.fill(_INF)
+    np.minimum.at(t, g.uncovered, packed)
+    del packed
+    _subset_transform(plan, np.minimum)
+    return np.take(t, g.covers, out=out, mode="clip")
+
+
+def _test_threshold(g: StateGraph, t: np.ndarray, plan: list,
                     mu: Fraction, seed: list[int] | None = None) -> _ThresholdResult:
     """Decide whether some cycle has mean < mu.
 
     Runs value iteration y(v) <- min(y(v), q*w(v) - p + min over consistent
     predecessors u of y(u)), the inner min taken through a subset-minimum
-    transform keyed by the uncovered masks.  Convergence certifies that no
-    cycle beats mu; otherwise a strictly better cycle is found in the
-    predecessor pointers (guaranteed to exist by round n+1).
+    transform keyed by the uncovered masks (_least_preds).  Convergence
+    certifies that no cycle beats mu; otherwise a strictly better cycle is
+    found in the predecessor pointers (guaranteed to exist by round n+1).
 
     y starts at 0, except on `seed`, a cycle of mean exactly mu in edge
     order: there y(v) is the weight of the stretch of the cycle from its
@@ -499,17 +512,8 @@ def _test_threshold(g: StateGraph, t: np.ndarray, plan: tuple[bool, list],
             # span <= 2(c+1)n^3 + n < 2^61 for c <= 18
             raise CapExceededError("packed (value, node) span", span, int(_INF))
         if front is None:
-            # pack (value, node) as y << c | node, so one transform yields
-            # min value and its argmin; n == 1 << c, so the node is the low c
-            # bits.  This loop sets the engine's peak memory, hence the
-            # in-place updates and freeing `packed` before the next temporaries
-            packed = y << c
-            packed |= idx
-            t.fill(_INF)
-            np.minimum.at(t, uncovered, packed)
-            del packed
-            _subset_transform(plan, np.minimum)
-            np.take(t, covers, out=gval, mode="clip")
+            # this loop sets the engine's peak memory, hence the in-place updates
+            _least_preds(g, t, plan, y, idx, gval)
             np.right_shift(gval, c, out=cand)
             cand += wq
             improved = cand < y
@@ -631,11 +635,11 @@ def _evaluate_policy(pred: np.ndarray, weights: np.ndarray,
         return mu, y
     means = [Fraction(t, k) for k, t in cycles]
     rank = {m: r for r, m in enumerate(sorted(set(means)))}
-    pos[nodes] = [rank[m] for m, (k, t) in zip(means, cycles) for _ in range(k)]
+    pos[nodes] = np.repeat([rank[m] for m in means], [k for k, _ in cycles])
     return None, pos[anc]
 
 
-def _howard(g: StateGraph, t: np.ndarray, plan: tuple[bool, list]) -> tuple[Fraction, np.ndarray]:
+def _howard(g: StateGraph, t: np.ndarray, plan: list) -> tuple[Fraction, np.ndarray]:
     """Minimum cycle mean mu and potentials y feasible at mu, by Howard's
     policy iteration, for a graph whose full state is a hub (see
     min_mean_cycle).  t, 2^c entries, is left the packed transform of the
@@ -644,7 +648,7 @@ def _howard(g: StateGraph, t: np.ndarray, plan: tuple[bool, list]) -> tuple[Frac
 
     A policy gives each state one predecessor, at first its smallest.  Each
     iteration evaluates the policy (_evaluate_policy) and improves it with
-    one subset-minimum transform, packed as in _test_threshold:
+    one subset-minimum transform of packed keys (_least_preds):
       * while the policy cycles' means differ, keyed rank << c | u, each
         state switches to its predecessor of least rank if that is below
         its own.  Ranks fall along switched pointers and hold along the
@@ -664,30 +668,20 @@ def _howard(g: StateGraph, t: np.ndarray, plan: tuple[bool, list]) -> tuple[Frac
     known; 1446 graphs with c <= 13, reduced or not, took at most 24, and
     at most 12 at c <= 8, so passing n + 1 is taken for a fault.
     """
-    uncovered, covers, weights, c, n = g.uncovered, g.covers, g.weights, g.c, g.n_states
+    weights, c, n = g.weights, g.c, g.n_states
     idx = np.arange(n, dtype=np.int64)
     best = np.empty(n, dtype=np.int64)
     pos = np.empty(n, dtype=np.int64)
-
-    def lowest(val: np.ndarray) -> np.ndarray:
-        # best[v]: the least val(u) << c | u over the predecessors u of v; the
-        # hub is one, so none reads the sentinel.  val spans 0, the roots' y
-        # and the least rank, so the keys lie strictly between -span and span
+    # the hub is every state's predecessor, so no best[v] is the sentinel
+    pred = _least_preds(g, t, plan, np.zeros(n, dtype=np.int64), idx, best) & (n - 1)
+    for _ in range(n + 1):
+        mu, val = _evaluate_policy(pred, weights, pos)
+        # val spans 0, the roots' y and the least rank, so the keys lie
+        # strictly between -span and span
         span = (int(val.max()) - int(val.min()) + 1) * n
         if span >= int(_INF):
             raise CapExceededError("packed (value, node) span", span, int(_INF))
-        packed = val << c
-        packed |= idx
-        t.fill(_INF)
-        np.minimum.at(t, uncovered, packed)
-        del packed
-        _subset_transform(plan, np.minimum)
-        return np.take(t, covers, out=best)
-
-    pred = lowest(np.zeros(n, dtype=np.int64)) & (n - 1)
-    for _ in range(n + 1):
-        mu, val = _evaluate_policy(pred, weights, pos)
-        key = lowest(val) >> c
+        key = _least_preds(g, t, plan, val, idx, best) >> c
         if mu is not None:
             key += np.int64(mu.denominator) * weights - np.int64(mu.numerator)
         better = key < val
@@ -701,7 +695,7 @@ def _howard(g: StateGraph, t: np.ndarray, plan: tuple[bool, list]) -> tuple[Frac
 
 
 def _cycle_nodes(g: StateGraph, y: np.ndarray, tgt: np.ndarray, t: np.ndarray,
-                 low: tuple[bool, list], high: tuple[bool, list]) -> np.ndarray:
+                 low: list, high: list) -> np.ndarray:
     """States that can lie on a cycle of tight edges, ascending.
 
     Edge u -> v is tight when y(u) == tgt(v) (and u -> v is an edge); with
@@ -781,7 +775,7 @@ class _TightPreds(dict):
 
 
 def _canonical_cycle(g: StateGraph, mu: Fraction, y: np.ndarray, t: np.ndarray,
-                     low: tuple[bool, list], high: tuple[bool, list]) -> tuple[int, ...]:
+                     low: list, high: list) -> tuple[int, ...]:
     """Shortest minimizing cycle; ties to the lexicographically smallest
     state sequence started at its smallest state.
 
@@ -843,22 +837,26 @@ def min_mean_cycle(g: StateGraph) -> tuple[Fraction, tuple[int, ...]]:
     way ends with potentials feasible at the minimum, which fix the
     canonical cycle whatever they are.  Every round and the canonical cycle
     share one transform buffer t, and the plans of its minimum and maximum
-    transforms are built once here.
+    transforms are built once here.  The whole solve runs with numpy's ufunc
+    buffer at _BUFSIZE entries (see _subset_transform), set inside
+    np.errstate, which restores the caller's size on exit, a raise included.
     """
     n = g.n_states
     t = np.empty(n, dtype=np.int64)
     low, high = _transform_plan(t, g.c), _transform_plan(t[::-1], g.c)
-    if n < _SPARSE_MIN_STATES and g.uncovered[-1] == 0 and g.covers[-1] == n - 1:
-        mu, y = _howard(g, t, low)
-    else:
-        mu = Fraction(g.c + 1)  # above any cycle mean, so the first test finds a cycle
-        seed = None
-        while not (result := _test_threshold(g, t, low, mu, seed)).converged:
-            mu, seed = result.mean, result.cycle
-        if mu == Fraction(g.c + 1):
-            raise InputError("state graph has no cycle")
-        y = result.y
-    return mu, _canonical_cycle(g, mu, y, t, low, high)
+    with np.errstate():
+        np.setbufsize(_BUFSIZE)
+        if n < _SPARSE_MIN_STATES and g.uncovered[-1] == 0 and g.covers[-1] == n - 1:
+            mu, y = _howard(g, t, low)
+        else:
+            mu = Fraction(g.c + 1)  # above any cycle mean, so the first test finds a cycle
+            seed = None
+            while not (result := _test_threshold(g, t, low, mu, seed)).converged:
+                mu, seed = result.mean, result.cycle
+            if mu == Fraction(g.c + 1):
+                raise InputError("state graph has no cycle")
+            y = result.y
+        return mu, _canonical_cycle(g, mu, y, t, low, high)
 
 
 # ---------------------------------------------------------------------------

@@ -385,11 +385,15 @@ def test_doctored_fixtures_take_threshold_tests(monkeypatch):
 
 def test_howard_fault_raises_on_stuck_means(monkeypatch):
     # an evaluation whose means differ though no state has a predecessor of
-    # lower rank cannot happen on a hub graph; it must not loop or answer
+    # lower rank cannot happen on a hub graph; it must not loop or answer,
+    # and the raise must leave the caller's ufunc buffer size as it was
     monkeypatch.setattr(stategraph, "_evaluate_policy",
                         lambda pred, *_: (None, np.zeros(len(pred), dtype=np.int64)))
-    with pytest.raises(AssertionError, match="no state has a predecessor of lower mean"):
-        min_mean_cycle(build_state_graph(GeneratorSet([1, 2])))
+    with np.errstate():
+        np.setbufsize(4096)
+        with pytest.raises(AssertionError, match="no state has a predecessor of lower mean"):
+            min_mean_cycle(build_state_graph(GeneratorSet([1, 2])))
+        assert np.getbufsize() == 4096
 
 
 def test_howard_fault_raises_past_iteration_bound(monkeypatch):
@@ -807,9 +811,14 @@ def test_sparse_tail_transform_count(monkeypatch):
 def test_two_transform_plans_per_solve(monkeypatch, els):
     # every policy iteration or threshold test and the prune run the two
     # plans min_mean_cycle builds, one on its buffer and one on its
-    # reversal; {-7,-6,5} (c = 12) runs Howard, {1,16} a sparse tail
+    # reversal; {-7,-6,5} (c = 12) runs Howard, {1,16} a sparse tail.  The
+    # solve's small ufunc buffer must not outlive it: a size other than
+    # _BUFSIZE, set by the caller, is the size after the solve
     built = _count_calls(monkeypatch, "_transform_plan")
-    min_mean_cycle(build_state_graph(GeneratorSet(els), c_max=16))
+    with np.errstate():
+        np.setbufsize(4096)
+        min_mean_cycle(build_state_graph(GeneratorSet(els), c_max=16))
+        assert np.getbufsize() == 4096
     assert len(built) == 2
 
 
@@ -907,14 +916,12 @@ def _assert_subset_transforms(t, c, want_low, want_high):
 @pytest.mark.parametrize("c", range(1, 15))
 def test_subset_transform_matches_naive(monkeypatch, c):
     # c = 1..14 runs bit 0, the column form of bits 1-3 and the block form
-    # of bits >= 4 at several sizes: the plain loop to c = 12, the small
-    # buffer from c = 13.  For c <= 12 the buffered path runs again with
-    # blocks of 2^2, 2^3 and 2^4 entries, so that several blocks run
-    # before the higher bits
+    # of bits >= 4 at several sizes, all in one block of the whole array.
+    # For c <= 12 it runs again with blocks of 2^2, 2^3 and 2^4 entries, so
+    # that several blocks run before the higher bits
     t, want_low, want_high = _transform_wants(c)
     _assert_subset_transforms(t, c, want_low, want_high)
     if c <= 12:
-        monkeypatch.setattr(stategraph, "_UNBUFFERED_MIN_C", 1)
         for block_bits in (2, 3, 4):
             monkeypatch.setattr(stategraph, "_BLOCK_BITS", block_bits)
             _assert_subset_transforms(t, c, want_low, want_high)
@@ -937,16 +944,12 @@ def test_transform_plan_aliases_its_buffer(monkeypatch, c):
     # test of a solve reuses it.  For c <= 12 the blocked settings of
     # test_subset_transform_matches_naive run too
     t0, want_low, want_high = _transform_wants(c)
-    settings = [(stategraph._UNBUFFERED_MIN_C, stategraph._BLOCK_BITS)]
-    if c <= 12:
-        settings += [(1, block_bits) for block_bits in (2, 3, 4)]
     t = np.empty_like(t0)
-    for unbuffered_min_c, block_bits in settings:
-        monkeypatch.setattr(stategraph, "_UNBUFFERED_MIN_C", unbuffered_min_c)
+    for block_bits in [stategraph._BLOCK_BITS] + ([2, 3, 4] if c <= 12 else []):
         monkeypatch.setattr(stategraph, "_BLOCK_BITS", block_bits)
         for view, ufunc, want in ((t, np.minimum, want_low), (t[::-1], np.maximum, want_high)):
             plan = stategraph._transform_plan(view, c)
-            for out, other, _ in plan[1]:
+            for out, other, _ in plan:
                 assert np.shares_memory(out, t) and np.shares_memory(other, t)
             for _ in range(2):
                 t[:] = t0
